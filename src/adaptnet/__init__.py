@@ -28,8 +28,8 @@ from .strategy import (CentralState, NetworkState, ReferenceState,
                        step_reference)
 from .theory import (OptimalWeights, TheoryReport, build_report,
                      convergence_rate, optimal_theta, optimal_theta_for_model,
-                     predict_centralized_mse, predict_msd_identity,
-                     predict_weighted_mse, report_to_json, stable_step_bound)
+                     predict_msd_identity, predict_weighted_mse,
+                     report_to_json, stable_step_bound)
 from .topology import Topology, from_edges, is_connected, random_geometric, ring
 
 __version__ = "0.1.0"

@@ -130,29 +130,45 @@ def build_experiment(cfg: dict):
     return model, policy, perron, sim_config
 
 
-def theory_block(cfg: dict) -> dict:
-    """Theory report(s) for a config; handles comparison variants."""
-    variants = cfg.get("compare_topologies")
-    if not variants:
-        model, policy, perron, _ = build_experiment(cfg)
+def theory_block(cfg: dict, experiment) -> tuple[dict, dict]:
+    """(report of the simulated topology, theory block) for a config whose
+    experiment is already built.
+
+    With ``compare_topologies`` the block holds one report per variant;
+    each distinct topology is resolved once, and a variant equal to the
+    simulated topology reuses its report.
+    """
+    def report(model, policy, perron, _):
         return theory_mod.report_to_json(
             theory_mod.build_report(model, policy, perron))
+
+    own = report(*experiment)
+    variants = cfg.get("compare_topologies")
+    if not variants:
+        return own, own
+    reports = {json.dumps(cfg["topology"], sort_keys=True): own}
     blocks = []
     for variant in variants:
-        sub = dict(cfg)
-        sub["topology"] = variant
-        sub.pop("compare_topologies", None)
-        model, policy, perron, _ = build_experiment(sub)
-        blocks.append({
-            "topology": variant,
-            "theory": theory_mod.report_to_json(
-                theory_mod.build_report(model, policy, perron)),
-        })
+        key = json.dumps(variant, sort_keys=True)
+        if key not in reports:
+            reports[key] = report(*build_experiment(dict(cfg, topology=variant)))
+        blocks.append({"topology": variant, "theory": reports[key]})
     msds = [b["theory"]["msd_first_order"] for b in blocks]
-    return {
+    return own, {
         "variants": blocks,
         "max_abs_msd_delta": float(max(msds) - min(msds)),
     }
+
+
+def _unstable(cfg: dict, mu_max: float, own: dict) -> bool:
+    """True, with a message on stderr, when the step size is not below the
+    stability bound and the config does not set allow_unstable."""
+    if mu_max < own["mu_bound"] or cfg.get("allow_unstable"):
+        return False
+    print(f"step size {mu_max:.3e} is not below the stability bound "
+          f"{own['mu_bound']:.3e}; set allow_unstable to force",
+          file=sys.stderr)
+    return True
 
 
 def _load_config(path: str) -> dict:
@@ -185,19 +201,14 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
             cfg["seed"] = seed
         if strategy is not None:
             cfg.setdefault("policy", {})["kind"] = strategy
-        theory = theory_block(cfg)
-        plain = theory if "variants" not in theory else theory["variants"][0]["theory"]
-        model, policy, perron, sim_config = build_experiment(cfg)
-        if perron.mu_max >= plain["mu_bound"] and not cfg.get("allow_unstable"):
-            print(
-                f"step size {perron.mu_max:.3e} is not below the stability "
-                f"bound {plain['mu_bound']:.3e}; set allow_unstable to force",
-                file=sys.stderr,
-            )
-            return 2
+        experiment = build_experiment(cfg)
+        own, theory = theory_block(cfg, experiment)
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    _, policy, perron, sim_config = experiment
+    if _unstable(cfg, perron.mu_max, own):
+        return 2
 
     try:
         curves = sim_mod.run(sim_config)
@@ -213,7 +224,7 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
         "config": cfg,
         "policy": policy_mod.policy_to_json(policy, perron),
         "theory": theory,
-        "summary": sim_mod.run_summary(curves, plain),
+        "summary": sim_mod.run_summary(curves, own),
     }
     (out / "report.json").write_text(_dump(report))
     print(f"wrote {out / 'curves.csv'}, {out / 'report.json'}, "
@@ -224,18 +235,12 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
 def cmd_theory(config_path: str) -> int:
     try:
         cfg = _load_config(config_path)
-        block = theory_block(cfg)
-        plain = block if "variants" not in block else block["variants"][0]["theory"]
-        _, _, perron, _ = build_experiment(cfg)
+        experiment = build_experiment(cfg)
+        own, block = theory_block(cfg, experiment)
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    if perron.mu_max >= plain["mu_bound"] and not cfg.get("allow_unstable"):
-        print(
-            f"step size {perron.mu_max:.3e} is not below the stability "
-            f"bound {plain['mu_bound']:.3e}",
-            file=sys.stderr,
-        )
+    if _unstable(cfg, experiment[2].mu_max, own):
         return 2
     sys.stdout.write(_dump(block))
     return 0

@@ -6,11 +6,6 @@ the unknown parameter vector w*.  The model exposes everything the
 strategy and theory layers need: samples, stochastic and true gradients,
 gradient-noise covariance, Hessians, the constants appearing in the
 step-size bound, and the network limit point.
-
-The interface is pluggable: any object providing the same methods
-(``sample_network``, ``stochastic_gradient_network``, ``true_gradient``,
-``hessian``, ``rv_blocks``, ``stream_width``) can drive the simulator.
-Only the Gaussian linear model ships.
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ import numpy as np
 from .errors import ModelError, ObservabilityError
 
 _SYM_TOL = 1e-12
+_ROOT_TOL = 1e-10  # limit-point residual, relative to max(1, ||w*||)
 
 
 @dataclass(frozen=True)
@@ -227,6 +223,19 @@ def network_hessian(model, p) -> np.ndarray:
     return np.einsum("k,kij->ij", p, h)
 
 
+def _observable_hessian(model, p) -> tuple[np.ndarray, float]:
+    """H_c and the least eigenvalue of its symmetric part; raises
+    ``ObservabilityError`` when that eigenvalue is not positive."""
+    hc = network_hessian(model, p)
+    lam_l = float(np.linalg.eigvalsh(0.5 * (hc + hc.T)).min())
+    if lam_l <= 1e-10:
+        raise ObservabilityError(
+            f"weighted Hessian sum is singular (min eigenvalue {lam_l:.3e}); "
+            "the model is not jointly observable"
+        )
+    return hc, lam_l
+
+
 def check_network_observability(model, p) -> tuple[bool, float]:
     """Whether sum_k p_k R_u,k is positive definite, plus its min eigenvalue.
 
@@ -253,13 +262,7 @@ def assumption_constants(model, p) -> AssumptionConstants:
         float(np.linalg.eigvalsh(model.r_u[k]).max())
         for k in range(model.n_agents)
     )
-    hc = network_hessian(model, p)
-    lam_l = float(np.linalg.eigvalsh(0.5 * (hc + hc.T)).min())
-    if lam_l <= 1e-10:
-        raise ObservabilityError(
-            f"weighted Hessian sum is singular (min eigenvalue {lam_l:.3e}); "
-            "the model is not jointly observable"
-        )
+    _, lam_l = _observable_hessian(model, p)
     traces = np.einsum("kii->k", model.r_u)
     sq_traces = np.einsum("kij,kji->k", model.r_u, model.r_u)
     alpha = 4.0 * float((traces ** 2 + sq_traces).max())
@@ -268,21 +271,15 @@ def assumption_constants(model, p) -> AssumptionConstants:
                                alpha=alpha, sigma_v2=sigma_v2)
 
 
-def limit_point(model, p, tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
+def limit_point(model, p) -> np.ndarray:
     """Solve sum_k p_k s_k(w) = 0 for the network limit point.
 
-    Damped Newton on the weighted gradient sum, using the network Hessian
-    as the (constant, for quadratic costs) Jacobian; the linear model
-    converges in one exact step to the shared parameter vector.
+    The weighted gradient sum of quadratic costs is affine in w with the
+    network Hessian H_c as its Jacobian, so one solve gives the root:
+    w = 0 - H_c^-1 sum_k p_k s_k(0).  The residual of the solve is checked.
     """
     p = np.asarray(p, dtype=float)
-    hc = network_hessian(model, p)
-    lam_l = float(np.linalg.eigvalsh(0.5 * (hc + hc.T)).min())
-    if lam_l <= 1e-10:
-        raise ObservabilityError(
-            f"weighted Hessian sum is singular (min eigenvalue {lam_l:.3e})"
-        )
-    w = np.zeros(model.m)
+    hc, _ = _observable_hessian(model, p)
 
     def weighted_gradient(x):
         return np.einsum(
@@ -290,22 +287,12 @@ def limit_point(model, p, tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
             np.stack([model.true_gradient(k, x) for k in range(model.n_agents)]),
         )
 
-    g = weighted_gradient(w)
-    scale = max(1.0, float(np.linalg.norm(model.w_star)))
-    for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol * scale:
-            return w
-        step = np.linalg.solve(hc, g)
-        size = 1.0
-        for _ in range(30):  # backtracking; a no-op for quadratic costs
-            cand = w - size * step
-            g_cand = weighted_gradient(cand)
-            if np.linalg.norm(g_cand) <= np.linalg.norm(g):
-                w, g = cand, g_cand
-                break
-            size *= 0.5
-        else:
-            break
-    if np.linalg.norm(g) > tol * scale:
-        raise ObservabilityError("Newton iteration failed to locate the limit point")
+    w = np.zeros(model.m)
+    w = w - np.linalg.solve(hc, weighted_gradient(w))
+    residual = float(np.linalg.norm(weighted_gradient(w)))
+    if residual > _ROOT_TOL * max(1.0, float(np.linalg.norm(model.w_star))):
+        raise ObservabilityError(
+            f"limit-point solve left residual {residual:.3e}; the weighted "
+            "Hessian sum is too ill-conditioned"
+        )
     return w

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DivergenceError
 from .model import assumption_constants, limit_point
 from .policy import CombinationPolicy, build_perron
-from .strategy import (distributed_update, reference_init, step_reference,
-                       transposed_combiners)
+from .strategy import (centralized_update, distributed_update, reference_init,
+                       step_reference, transposed_combiners)
 from .theory import stable_step_bound
 
 _BLOCK = 256
@@ -104,13 +104,6 @@ class LearningCurves:
     def n_agents(self) -> int:
         return self.msd.shape[1]
 
-    def _window_start(self, half: bool) -> int:
-        full = math.ceil(self.config.steady_window * self.iters)
-        if half:
-            return self.iters - math.ceil(0.5 * self.config.steady_window
-                                          * self.iters)
-        return self.iters - full
-
     def steady_state(self, half: bool = False):
         """Per-agent steady MSD: (mean (N,), trial-level stderr (N,))."""
         v = self._trial_msd_half if half else self._trial_msd
@@ -122,7 +115,15 @@ class LearningCurves:
 
     def steady_offset(self, half: bool = False) -> np.ndarray:
         """Per-agent steady centroid-offset energy (window mean)."""
-        return self.centroid_offset[self._window_start(half):].mean(axis=0)
+        start = _window_starts(self.iters, self.config.steady_window)[half]
+        return self.centroid_offset[start:].mean(axis=0)
+
+
+def _window_starts(iters: int, window: float) -> tuple[int, int]:
+    """Starts of the steady window, the last ceil(window * iters) points,
+    and of its last half, the last ceil(window * iters / 2) points."""
+    return (iters - math.ceil(window * iters),
+            iters - math.ceil(0.5 * window * iters))
 
 
 def _stderr(v: np.ndarray) -> np.ndarray:
@@ -176,9 +177,8 @@ def run(config: SimConfig) -> LearningCurves:
     cent_msd = np.empty(iters)
     offsets = np.empty((iters, n))
 
-    window = math.ceil(config.steady_window * iters)
-    half = math.ceil(0.5 * config.steady_window * iters)
-    full_start, half_start = iters - window, iters - half
+    full_start, half_start = _window_starts(iters, config.steady_window)
+    window, half = iters - full_start, iters - half_start
     acc = np.zeros((trials, n))
     acc_half = np.zeros((trials, n))
     acc_c = np.zeros(trials)
@@ -213,9 +213,8 @@ def run(config: SimConfig) -> LearningCurves:
             off = w - centroid[:, None, :]
             offsets[i] = np.einsum("tkm,tkm->tk", off, off).mean(axis=0)
 
-            grad_c = model.stochastic_gradient_network(
-                w_cent[:, None, :], uc_all[:, j], dc_all[:, j])
-            w_cent = w_cent - mu_max * np.einsum("k,tkm->tm", p, grad_c)
+            w_cent = centralized_update(w_cent, p, mu_max, model,
+                                        uc_all[:, j], dc_all[:, j])
             err_c = w_cent - w_star
             sq_c = np.einsum("tm,tm->t", err_c, err_c)
             cent_msd[i] = sq_c.mean()
@@ -264,11 +263,10 @@ def steady_state_estimate(series, window: float = 0.1):
     series = np.asarray(series, dtype=float)
     if not 0.0 < window <= 0.5:
         raise ValueError("window must lie in (0, 0.5]")
-    count = math.ceil(window * series.size)
-    tail = series[series.size - count:]
-    if count < 2:
+    tail = series[_window_starts(series.size, window)[0]:]
+    if tail.size < 2:
         return float(tail.mean()), 0.0
-    return float(tail.mean()), float(tail.std(ddof=1) / math.sqrt(count))
+    return float(tail.mean()), float(tail.std(ddof=1) / math.sqrt(tail.size))
 
 
 def fit_geometric_rate(series, i_start: int, i_end: int) -> float:

@@ -10,7 +10,10 @@ Three recursions share the per-agent sample stream:
 
 The stochastic gradient is always evaluated at the first-stage combine
 phi_k.  Step functions are pure given (state, rng); one network sample
-(every agent, agents in index order) is consumed per call.
+(every agent, agents in index order) is consumed per call.  The
+distributed and centralized steps are the batched kernels
+``distributed_update`` and ``centralized_update``, which ``sim.run``
+calls too.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ def distributed_update(w, combiners, mus, model, u, d):
     return psi if c2 is None else c2 @ psi
 
 
+def centralized_update(w, p, mu_max, model, u, d):
+    """Shared kernel for one centralized step; batched over leading axes.
+
+    ``w`` has shape (..., M); ``u``/``d`` are the matching network samples
+    (..., N, M) and (..., N).
+    """
+    grad = model.stochastic_gradient_network(w[..., None, :], u, d)
+    return w - mu_max * np.einsum("k,...km->...m", p, grad)
+
+
 def step_distributed(state: NetworkState, policy: CombinationPolicy,
                      perron: PerronData, model, rng) -> NetworkState:
     """Advance every agent by one combine/adapt/combine round."""
@@ -94,8 +107,7 @@ def step_centralized(state: CentralState, perron: PerronData, model,
     if w.shape != (model.m,):
         raise ContractError(f"state shape {w.shape} does not match dimension {model.m}")
     u, d = model.sample_network(rng)
-    grad = model.stochastic_gradient_network(w[None, :], u, d)
-    w_next = w - perron.mu_max * np.einsum("k,km->m", perron.p, grad)
+    w_next = centralized_update(w, perron.p, perron.mu_max, model, u, d)
     return CentralState(w_cent=w_next, iter=state.iter + 1)
 
 

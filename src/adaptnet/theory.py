@@ -68,16 +68,6 @@ def predict_msd_identity(hc, rv_blocks, p, mu_max: float) -> float:
     return float(0.5 * mu_max * np.trace(np.linalg.solve(hc, r_eff)))
 
 
-def predict_centralized_mse(hc, rv_blocks, p, mu_max: float, sigma) -> float:
-    """Steady-state weighted MSE of the centralized recursion.
-
-    Equal to ``predict_weighted_mse`` by construction: the distributed and
-    centralized errors share the same first-order term.  Kept as a named
-    alias so the matching claim is executable.
-    """
-    return predict_weighted_mse(hc, rv_blocks, p, mu_max, sigma)
-
-
 def convergence_rate(hc, mu_max: float) -> float:
     """Squared spectral radius of I - mu_max H_c: the per-step MSE contraction."""
     hc = np.asarray(hc, dtype=float)
@@ -123,8 +113,8 @@ def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
     return optimal_theta(h0, model.rv_blocks(), mu_max)
 
 
-def build_report(model, policy: CombinationPolicy, perron: PerronData,
-                 include_optimal: bool = True) -> TheoryReport:
+def build_report(model, policy: CombinationPolicy,
+                 perron: PerronData) -> TheoryReport:
     """Assemble every closed-form prediction for one configuration."""
     p = perron.p
     hc = network_hessian(model, p)
@@ -134,12 +124,10 @@ def build_report(model, policy: CombinationPolicy, perron: PerronData,
     msd = float(perron.mu_max * np.trace(x @ _effective_noise(rv, p)))
     weighted = predict_weighted_mse(hc, rv, p, perron.mu_max, 0.5 * hc)
     consts = assumption_constants(model, p)
-    theta_opt = msd_opt = None
-    if include_optimal:
-        try:
-            theta_opt, msd_opt = optimal_theta_for_model(model, perron.mu_max)
-        except (ContractError, ValueError):
-            pass
+    try:
+        theta_opt, msd_opt = optimal_theta_for_model(model, perron.mu_max)
+    except (ContractError, ValueError):
+        theta_opt = msd_opt = None
     return TheoryReport(
         hc=hc,
         x=x,

@@ -29,6 +29,8 @@ from adaptnet import (LinearModel, SimConfig, assemble, build_hastings,
 from conftest import (DIM, ITERS, MU, N_AGENTS, TRIALS, canonical_model,
                       canonical_run, db)
 
+pytestmark = pytest.mark.slow
+
 
 def report_pass(criterion, detail):
     print(f"criterion {criterion}: PASS - {detail}")

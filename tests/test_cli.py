@@ -93,6 +93,31 @@ class TestRun:
         assert "divergence" in capsys.readouterr().err
 
 
+class TestCompareTopologies:
+    def test_deltas_use_the_simulated_topology(self, tmp_path):
+        # a 5-node star compared with a ring: the star's report, not the
+        # first variant's, is the one the simulated deltas refer to
+        ring = {"kind": "ring", "n": 5}
+        star = {"kind": "edges", "n": 5,
+                "edges": [[0, 1], [0, 2], [0, 3], [0, 4]]}
+        cfg = dict(TINY_CONFIG, topology=star, compare_topologies=[ring, star],
+                   model=dict(TINY_CONFIG["model"],
+                              sigma_n2=[0.01, 0.02, 0.04, 0.08, 0.16]),
+                   policy={"kind": "atc", "weights": "uniform"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        ring_msd, star_msd = (v["theory"]["msd_first_order"]
+                              for v in report["theory"]["variants"])
+        assert 10.0 * np.log10(ring_msd / star_msd) > 1.0
+        summary = report["summary"]
+        for row, delta in zip(summary["steady_state"],
+                              summary["theory_delta_db"]):
+            assert delta["delta_db"] == pytest.approx(
+                row["steady_msd_db"] - 10.0 * np.log10(star_msd), abs=1e-12)
+
+
 class TestTheory:
     def test_stdout_matches_run_artifact_bit_for_bit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,23 @@ class TestSteadyStateEstimate:
         for k in range(curves.n_agents):
             gap = abs(full_mean[k] - half_mean[k])
             assert gap < 2 * (full_se[k] + half_se[k])
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("window", [0.1, 0.33, 0.5])
+@pytest.mark.parametrize("iters", [37, 101, 400])
+def test_steady_windows_share_one_start(iters, window, half):
+    curves = run(small_config(trials=4, iters=iters, window=window))
+    share = 0.5 * window if half else window
+    start = iters - math.ceil(share * iters)
+    assert np.allclose(curves.steady_state(half)[0],
+                       curves.msd[start:].mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(curves.steady_offset(half),
+                       curves.centroid_offset[start:].mean(axis=0),
+                       rtol=1e-12, atol=0)
+    for k in range(curves.n_agents):
+        mean, _ = steady_state_estimate(curves.msd[:, k], share)
+        assert mean == pytest.approx(curves.msd[start:, k].mean(), rel=1e-12)
 
 
 class TestFitGeometricRate:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from adaptnet import (CentralState, LinearModel, NetworkState, ReferenceState,
-                      assemble, build_hastings, build_metropolis, build_perron,
-                      random_geometric, reference_init, ring, step_centralized,
-                      step_distributed, step_reference)
+                      SimConfig, assemble, build_hastings, build_metropolis,
+                      build_perron, random_geometric, reference_init, ring, run,
+                      step_centralized, step_distributed, step_reference)
 from adaptnet.errors import ContractError
+from adaptnet.sim import trial_seed
 
 
 def lms_setup(n=4, m=3, mu=1e-3, sigma=0.1, kind="atc", seed=0):
@@ -120,6 +121,24 @@ class TestCentralized:
             dist = step_distributed(dist, policy, perron, model, r1)
             cent = step_centralized(cent, perron, model, r2)
         assert np.allclose(dist.w[0], cent.w_cent, rtol=1e-12, atol=1e-15)
+
+    def test_steps_replay_run_bit_for_bit(self):
+        # sim.run and the step functions share one kernel per recursion
+        _, policy, perron, model = lms_setup(n=10, m=5, sigma=0.05, seed=2)
+        curves = run(SimConfig(trials=1, iters=300, seed=11, policy=policy,
+                               model=model, mus=1e-3, paired_streams=True))
+        dist = NetworkState(w=np.zeros((10, 5)))
+        cent = CentralState(w_cent=np.zeros(5))
+        r_dist = np.random.default_rng(trial_seed(11, 0))
+        r_cent = np.random.default_rng(trial_seed(11, 0))
+        for i in range(300):
+            dist = step_distributed(dist, policy, perron, model, r_dist)
+            cent = step_centralized(cent, perron, model, r_cent)
+            err, err_c = dist.w - curves.w_star, cent.w_cent - curves.w_star
+            assert np.array_equal(np.einsum("km,km->k", err, err),
+                                  curves.msd[i])
+            assert np.einsum("m,m->", err_c, err_c) \
+                == curves.centralized_msd[i]
 
     def test_mean_trajectory_tracks_reference(self):
         # distributed mean path vs deterministic reference, small steps

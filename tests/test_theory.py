@@ -5,9 +5,9 @@ from adaptnet import (AssumptionConstants, LinearModel, assemble,
                       build_hastings, build_perron, build_report,
                       convergence_rate, network_hessian, noise_profile,
                       optimal_theta, optimal_theta_for_model,
-                      predict_centralized_mse, predict_msd_identity,
-                      predict_weighted_mse, random_geometric, report_to_json,
-                      ring, stable_step_bound)
+                      predict_msd_identity, predict_weighted_mse,
+                      random_geometric, report_to_json, ring,
+                      stable_step_bound)
 from adaptnet.errors import ContractError
 
 
@@ -77,16 +77,6 @@ class TestMsdIdentity:
         value = predict_msd_identity(2.0 * np.eye(10),
                                      identity_blocks(1, 10, [0.4]), [1.0], 1e-3)
         assert value == pytest.approx(1e-3, rel=1e-12)
-
-
-class TestCentralizedAlias:
-    def test_identical_to_distributed_prediction(self):
-        hc = np.diag([2.0, 4.0])
-        rv = identity_blocks(2, 2, [0.4, 0.1])
-        p = [0.7, 0.3]
-        for sigma in (np.eye(2), hc / 2.0):
-            assert predict_centralized_mse(hc, rv, p, 1e-3, sigma) \
-                == predict_weighted_mse(hc, rv, p, 1e-3, sigma)
 
 
 class TestOptimalTheta:
