@@ -8,8 +8,8 @@ convergence rate, and the safe step-size range in closed form.
 
 from .errors import (AccuracyError, AdaptNetError, ConfigError,
                      ConnectivityError, ContractError, DivergenceError,
-                     IterationLimitError, ModelError, NumericalError,
-                     ObservabilityError, StabilityError, StructureError)
+                     ModelError, NumericalError, ObservabilityError,
+                     StabilityError, StructureError)
 from .model import (AssumptionConstants, LinearModel, assumption_constants,
                     check_network_observability, limit_point, network_hessian,
                     noise_profile)

@@ -14,14 +14,6 @@ class StructureError(AdaptNetError):
     (left-stochasticity, neighborhood sparsity, or primitivity)."""
 
 
-class IterationLimitError(AdaptNetError):
-    """An iterative solver hit its iteration cap before converging."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class StabilityError(AdaptNetError):
     """A matrix fails the stability condition required by a solver."""
 

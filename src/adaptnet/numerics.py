@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels for the steady-state analysis.
 
-Lyapunov equations are solved by Kronecker vectorization, which is
-O(M^6) but exact and adequate at the dimensions this package targets
-(M up to a few tens).  A quadrature oracle evaluates the equivalent
-integral form so the two routes can cross-check each other.
+Lyapunov equations are solved by Kronecker vectorization, O(M^6), which
+serves arbitrary weightings Sigma only: ``theory.build_report`` uses closed
+forms for symmetric H_c instead.  A quadrature oracle evaluates the
+equivalent integral form so the two routes can cross-check each other.
 """
 
 from __future__ import annotations

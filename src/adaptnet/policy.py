@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityError, IterationLimitError, StructureError
+from .errors import ConnectivityError, NumericalError, StructureError
 from .topology import Topology
 
 _COL_TOL = 1e-12
+_PERRON_RESIDUAL = 1e-12
 
 PRESETS = ("consensus", "atc", "cta")
 
@@ -55,59 +56,64 @@ class PerronData:
     mu_max: float
 
 
-def is_primitive(a: np.ndarray, j_max: int | None = None) -> bool:
-    """True iff some power A^j, j <= j_max, is entrywise positive.
+def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
+    """BFS distance from node 0 along edges i -> j where pattern[i, j]; -1 if
+    unreached."""
+    level = np.full(pattern.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    while frontier.any():
+        frontier = pattern[frontier].any(axis=0) & (level < 0)
+        level[frontier] = level.max() + 1
+    return level
 
-    Default ``j_max`` is the Wielandt bound N^2 - 2N + 2, sufficient for
-    every primitive matrix.  Works on the sparsity pattern so repeated
-    powers cannot underflow.
+
+def is_primitive(a: np.ndarray) -> bool:
+    """True iff some power of the nonnegative square matrix A is entrywise positive.
+
+    Exact test on the graph with an edge i -> j where a_ij > 0: it must be
+    strongly connected (BFS from node 0 reaches every node along A and A^T)
+    and aperiodic (the gcd over edges of level(i) + 1 - level(j), with BFS
+    levels from node 0, is 1).  O(N^2) on the dense pattern.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    n = a.shape[0]
-    if j_max is None:
-        j_max = n * n - 2 * n + 2
-    pattern = (a > 0).astype(float)
-    power = pattern.copy()
-    for _ in range(max(j_max, 1)):
-        if (power > 0).all():
-            return True
-        power = ((power @ pattern) > 0).astype(float)
-    return bool((power > 0).all())
+    pattern = a > 0
+    level = _bfs_levels(pattern)
+    if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
+        return False
+    i, j = np.nonzero(pattern)
+    return bool(np.gcd.reduce(level[i] + 1 - level[j]) == 1)
 
 
-def perron_vector(a: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 100_000) -> np.ndarray:
+def perron_vector(a: np.ndarray) -> np.ndarray:
     """Positive unit-sum right eigenvector of a primitive matrix at eigenvalue 1.
 
-    Power iteration with sum normalization at every step; converges at the
-    rate of the second eigenvalue magnitude.  Raises ``StructureError`` for
-    non-primitive input and ``IterationLimitError`` (carrying the final
-    residual) when the residual ||A theta - theta||_inf stays above ``tol``.
+    One linear solve of (A - I) theta = 0 with its last row replaced by
+    1^T theta = 1, nonsingular for primitive left-stochastic A (the rows of
+    A - I sum to zero).  Raises ``StructureError`` for non-primitive input
+    and ``NumericalError`` unless ||A theta - theta||_inf <= 1e-12, theta > 0.
     """
     a = np.asarray(a, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not is_primitive(a):
         raise StructureError("matrix is not primitive")
     n = a.shape[0]
-    theta = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iter):
-        nxt = a @ theta
-        nxt /= nxt.sum()
-        residual = np.abs(a @ nxt - nxt).max()
-        theta = nxt
-        if residual <= tol:
-            return theta
-    raise IterationLimitError(
-        f"power iteration did not reach tol={tol} in {max_iter} steps "
-        f"(residual {residual:.3e})",
-        residual=residual,
-    )
+    system = a - np.eye(n)
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        theta = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Perron system is singular: {exc}")
+    residual = np.abs(a @ theta - theta).max()
+    if not (residual <= _PERRON_RESIDUAL and (theta > 0).all()):
+        raise NumericalError(f"Perron solve failed its check (residual "
+                             f"{residual:.3e}, min entry {theta.min():.3e})")
+    return theta
 
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:
@@ -133,10 +139,9 @@ def compute_p(a2: np.ndarray, theta: np.ndarray, mus) -> PerronData:
     return PerronData(theta=theta, pi=pi, p=p, mus=mus, mu_max=mu_max)
 
 
-def build_perron(policy: CombinationPolicy, mus,
-                 tol: float = 1e-12) -> PerronData:
+def build_perron(policy: CombinationPolicy, mus) -> PerronData:
     """Perron data for an assembled policy and a step-size profile."""
-    return compute_p(policy.a2, perron_vector(policy.a, tol=tol), mus)
+    return compute_p(policy.a2, perron_vector(policy.a), mus)
 
 
 def build_hastings(topology: Topology, target) -> np.ndarray:
@@ -172,14 +177,7 @@ def build_hastings(topology: Topology, target) -> np.ndarray:
 
 def build_metropolis(topology: Topology) -> np.ndarray:
     """Uniform-target specialization: a_lk = 1 / max(|N_k|, |N_l|) off-diagonal."""
-    n = topology.n
-    a = np.zeros((n, n))
-    for k in range(n):
-        for l in topology.neighbors[k]:
-            if l != k:
-                a[l, k] = 1.0 / max(topology.degree(k), topology.degree(l))
-        a[k, k] = 1.0 - a[:, k].sum()
-    return a
+    return build_hastings(topology, np.full(topology.n, 1.0 / topology.n))
 
 
 def build_uniform_averaging(topology: Topology) -> np.ndarray:
@@ -205,10 +203,8 @@ def _validated_factor(m: np.ndarray, topology: Topology, name: str) -> np.ndarra
             f"{name} is not left-stochastic (max column-sum error "
             f"{np.abs(cols - 1.0).max():.3e})"
         )
-    for k in range(n):
-        off = [l for l in range(n) if l not in topology.neighbors[k]]
-        if off and np.abs(m[off, k]).max() > 0.0:
-            raise StructureError(f"{name} assigns weight outside neighborhoods")
+    if (m[topology.adjacency() == 0] > 0.0).any():
+        raise StructureError(f"{name} assigns weight outside neighborhoods")
     return m / cols  # exact column renormalization
 
 

@@ -119,11 +119,13 @@ def build_report(model, policy: CombinationPolicy,
     p = perron.p
     hc = network_hessian(model, p)
     rv = model.rv_blocks()
-    eye = np.eye(model.m)
-    x = solve_lyapunov_continuous(hc, eye)
-    msd = float(perron.mu_max * np.trace(x @ _effective_noise(rv, p)))
-    weighted = predict_weighted_mse(hc, rv, p, perron.mu_max, 0.5 * hc)
-    consts = assumption_constants(model, p)
+    consts = assumption_constants(model, p)  # raises if H_c is singular
+    # H_c is symmetric (LinearModel enforces symmetric R_u), so Sigma = I
+    # gives X = H_c^-1 / 2 and Sigma = H_c / 2 gives X = I / 4
+    x = np.linalg.inv(hc)
+    x = 0.25 * (x + x.T)
+    msd = predict_msd_identity(hc, rv, p, perron.mu_max)
+    weighted = float(0.25 * perron.mu_max * np.trace(_effective_noise(rv, p)))
     try:
         theta_opt, msd_opt = optimal_theta_for_model(model, perron.mu_max)
     except (ContractError, ValueError):

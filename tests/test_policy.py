@@ -5,7 +5,7 @@ from adaptnet import (assemble, build_hastings, build_metropolis, build_perron,
                       build_uniform_averaging, compute_p, from_edges,
                       is_primitive, perron_vector, policy_to_json,
                       random_geometric, ring, second_eigenvalue_magnitude)
-from adaptnet.errors import IterationLimitError, StructureError
+from adaptnet.errors import ConnectivityError, StructureError
 
 
 def dense_perron_oracle(a):
@@ -34,12 +34,12 @@ class TestPerronVector:
         with pytest.raises(StructureError):
             perron_vector(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
-    def test_iteration_limit_carries_residual(self):
-        target = np.linspace(1.0, 4.0, 40)
-        a = build_hastings(ring(40), target / target.sum())
-        with pytest.raises(IterationLimitError) as err:
-            perron_vector(a, tol=1e-15, max_iter=3)
-        assert err.value.residual > 0
+    def test_slow_mixing_ring_recovers_hastings_target(self):
+        # spectral gap 1.2e-4: an iterative solve needs ~1e5 steps here
+        target = np.linspace(1.0, 4.0, 300)
+        target /= target.sum()
+        theta = perron_vector(build_hastings(ring(300), target))
+        assert np.abs(theta / target - 1.0).max() < 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_eigensolver(self, seed):
@@ -52,7 +52,53 @@ class TestPerronVector:
         assert np.abs(theta - dense_perron_oracle(a)).max() < 1e-9
 
 
+def wielandt_power_oracle(a):
+    """Primitive iff A^(N^2 - 2N + 2) > 0 entrywise (Wielandt's bound)."""
+    pattern = (np.asarray(a) > 0).astype(int)
+    n = pattern.shape[0]
+    power = pattern.copy()
+    for _ in range(n * n - 2 * n + 1):
+        power = np.minimum(power @ pattern, 1)
+    return bool(power.all())
+
+
+def strongly_connected_oracle(a):
+    """(I + A)^k > 0 entrywise for some k >= N - 1, by repeated squaring."""
+    n = a.shape[0]
+    reach = (np.eye(n) + (np.asarray(a) > 0)).astype(int)
+    for _ in range(n):
+        reach = np.minimum(reach @ reach, 1)
+    return bool(reach.all())
+
+
+def random_patterns(count, seed):
+    """Nonnegative N x N matrices, N in 1..8; a third of them N-cycles,
+    half of those with one added chord, so periodic cases occur."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 9))
+        if case % 3 == 0:
+            order = rng.permutation(n)
+            a = np.zeros((n, n))
+            a[order, np.roll(order, 1)] = 1.0
+            if case % 6 == 0:
+                a[rng.integers(n), rng.integers(n)] = 1.0
+        else:
+            a = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+        yield a
+
+
 class TestIsPrimitive:
+    def test_matches_wielandt_power_oracle(self):
+        primitive = periodic = 0
+        for a in random_patterns(2000, seed=0):
+            want = wielandt_power_oracle(a)
+            assert is_primitive(a) == want, a
+            primitive += want
+            periodic += strongly_connected_oracle(a) and not want
+        # primitive, reducible and periodic irreducible cases all occur
+        assert 200 < primitive < 1800 and periodic > 200
+
     def test_periodic_swap_is_not_primitive(self):
         assert not is_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -118,8 +164,6 @@ class TestHastings:
             build_hastings(ring(3), [0.5, 0.5, 0.0])
 
     def test_disconnected_topology_rejected(self):
-        from adaptnet.errors import ConnectivityError
-
         with pytest.raises(ConnectivityError):
             build_hastings(from_edges(2, []), [0.5, 0.5])
 
@@ -142,6 +186,10 @@ class TestHastings:
 class TestMetropolisAndUniform:
     def test_metropolis_ring3_all_thirds(self):
         assert np.allclose(build_metropolis(ring(3)), 1 / 3, atol=1e-15)
+
+    def test_metropolis_disconnected_topology_rejected(self):
+        with pytest.raises(ConnectivityError):
+            build_metropolis(from_edges(3, [(0, 1)]))
 
     def test_metropolis_two_agent_path(self):
         assert np.allclose(build_metropolis(ring(2)), 0.5, atol=1e-15)
