@@ -137,24 +137,26 @@ class LinearModel:
         return u, d
 
     def regressors_from_raw(self, raw: np.ndarray):
-        """Map raw standard normals (..., N*M + N) to (u, d).
+        """Map raw standard normals (*batch, N*M + N) to u (N, M, *batch)
+        and d (N, *batch): agent axis first, batch axes trailing.
 
         Per network sample the stream is laid out regressors-first:
         N*M values for the regressors, then N for the measurement noise.
         """
         n, m = self.n_agents, self.m
-        z = raw[..., : n * m].reshape(raw.shape[:-1] + (n, m))
-        noise = raw[..., n * m:]
-        if self._identity_factors:
-            u = z
-        else:
-            u = np.einsum("kij,...kj->...ki", self._factors, z)
-        d = np.einsum("...km,m->...k", u, self.w_star) \
-            + noise * np.sqrt(self.sigma_n2)
+        batch = raw.shape[:-1]
+        # gather rows first: transposing straight out of a strided block
+        # (one trial's rows far apart) is several times slower
+        stream = np.einsum("...w->w...", np.ascontiguousarray(raw)).copy()
+        u = stream[: n * m].reshape((n, m) + batch)
+        if not self._identity_factors:
+            u = np.einsum("kij,kj...->ki...", self._factors, u)
+        scale = np.sqrt(self.sigma_n2).reshape((n,) + (1,) * len(batch))
+        d = np.einsum("km...,m->k...", u, self.w_star) + stream[n * m:] * scale
         return u, d
 
     def sample_network(self, rng, size: tuple = ()):
-        """Fresh samples for every agent: u (*size, N, M), d (*size, N)."""
+        """Fresh samples for every agent: u (N, M, *size), d (N, *size)."""
         raw = rng.standard_normal(tuple(size) + (self.stream_width,))
         return self.regressors_from_raw(raw)
 
@@ -164,14 +166,16 @@ class LinearModel:
         u, d = sample
         return -2.0 * u * (d - u @ np.asarray(w, dtype=float))
 
-    def stochastic_gradient_network(self, x, u, d) -> np.ndarray:
-        """Per-agent instantaneous gradients, batched.
+    def stochastic_gradient_network(self, x, u, d, out=None) -> np.ndarray:
+        """Per-agent instantaneous gradients, agent axis first.
 
-        ``x`` holds the evaluation points, broadcastable to u's shape
-        (..., N, M); a shared iterate can be passed as (..., 1, M).
+        ``u`` is (N, M, *batch) and ``d`` (N, *batch); ``x`` holds the
+        evaluation points, broadcastable to u's shape, so a shared iterate
+        (M, *batch) is passed as ``x[None]``.  Writes into ``out`` when given.
         """
-        resid = d - np.einsum("...km,...km->...k", u, np.broadcast_to(x, u.shape))
-        return u * (-2.0 * resid)[..., None]
+        resid = d - np.einsum("km...,km...->k...", u, np.broadcast_to(x, u.shape))
+        resid *= -2.0
+        return np.multiply(u, resid[:, None], out=out)
 
     def true_gradient(self, k: int, w) -> np.ndarray:
         """Exact gradient 2 R_u,k (w - w*)."""

@@ -5,23 +5,27 @@ over many seeded trials and produces per-agent mean-square-deviation
 curves, steady-state estimates with trial-level standard errors, fitted
 convergence rates, and centroid-decomposition diagnostics.
 
-Trials are evolved in lockstep (vectorized over the trial axis) but each
-trial owns a counter-derived random stream, so results are independent
-of batching and worker layout.  Per trial the stream is consumed in
-fixed-size iteration blocks, each laid out iteration-major with the
-regressor normals of all agents followed by the measurement noises.
+Trials are evolved in lockstep, agent-major: the iterates are one
+(N + 1, M, T) array, rows 0..N-1 the agents and row N the centralized
+iterate, with the T trials on the last axis, so each combine is one
+(N, N) @ (N, M*T) product and each step's statistics are one pass over
+the array.  Each trial owns a counter-derived random stream, consumed in
+fixed-size iteration blocks laid out iteration-major with the regressor
+normals of all agents followed by the measurement noises; the draws do
+not depend on the trial count, and a trial's results agree across trial
+counts to rounding (the product's summation order depends on M*T).
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import ContractError, DivergenceError
 from .model import assumption_constants, limit_point
 from .policy import CombinationPolicy, build_perron
 from .strategy import (centralized_update, distributed_update, reference_init,
@@ -138,10 +142,20 @@ def run(config: SimConfig) -> LearningCurves:
     Agents start from zero, so the curves begin in the coordinated
     (reference-tracking) phase directly.  Raises ``DivergenceError`` when
     any trajectory leaves the trust region, which signals an unstable
-    step size.
+    step size, and ``ContractError`` before any work when the random-draw
+    block buffers, T * 256 * (N*M + N) * 8 bytes per stream, exceed
+    physical memory.
     """
     model, policy = config.model, config.policy
     n, m = model.n_agents, model.m
+    streams = 1 if config.paired_streams else 2
+    need = streams * config.trials * _BLOCK * model.stream_width * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ContractError(
+            f"{config.trials} trials need {need / 2**30:.1f} GiB of block "
+            f"buffers, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     mus = np.broadcast_to(np.asarray(config.mus, dtype=float), (n,)).copy()
     perron = build_perron(policy, mus)
     theta, p, mu_max = perron.theta, perron.p, perron.mu_max
@@ -173,72 +187,69 @@ def run(config: SimConfig) -> LearningCurves:
         ref = step_reference(ref, perron, model)
         ref_err[i] = float(np.sum((w_star - ref.w_bar) ** 2))
 
-    msd = np.empty((iters, n))
-    cent_msd = np.empty(iters)
-    offsets = np.empty((iters, n))
-
     full_start, half_start = _window_starts(iters, config.steady_window)
     window, half = iters - full_start, iters - half_start
-    acc = np.zeros((trials, n))
-    acc_half = np.zeros((trials, n))
-    acc_c = np.zeros(trials)
-    acc_c_half = np.zeros(trials)
 
-    w = np.zeros((trials, n, m))
-    w_cent = np.zeros((trials, m))
+    # rows 0..N-1 hold the agents, row N the centralized iterate; trials last
+    w = np.zeros((n + 1, m, trials))
+    nxt = np.empty_like(w)
+    err = np.empty_like(w)
+    work = np.empty((n, m, trials))
+    sq = np.empty((n + 1, trials))
+    acc = np.zeros((n + 1, trials))
+    acc_half = np.zeros((n + 1, trials))
+    sums = np.empty((iters, n + 1))
+    offsets = np.empty((iters, n))
     raw = np.empty((trials, _BLOCK, width))
-    raw_c = np.empty((trials, _BLOCK, width)) if cent_gens else None
+    raw_c = None if cent_gens is None else np.empty((trials, _BLOCK, width))
 
     for base in range(0, iters, _BLOCK):
         blk = min(_BLOCK, iters - base)
         for t, g in enumerate(gens):
-            raw[t, :blk] = g.standard_normal((blk, width))
-        u_all, d_all = model.regressors_from_raw(raw[:, :blk])
-        if cent_gens is None:
-            uc_all, dc_all = u_all, d_all
-        else:
+            g.standard_normal((blk, width), out=raw[t, :blk])
+        if cent_gens is not None:
             for t, g in enumerate(cent_gens):
-                raw_c[t, :blk] = g.standard_normal((blk, width))
-            uc_all, dc_all = model.regressors_from_raw(raw_c[:, :blk])
+                g.standard_normal((blk, width), out=raw_c[t, :blk])
 
         for j in range(blk):
             i = base + j
-            w = distributed_update(w, combiners, mus, model,
-                                   u_all[:, j], d_all[:, j])
-            err = w - w_star
-            sq = np.einsum("tkm,tkm->tk", err, err)
-            msd[i] = sq.mean(axis=0)
+            u, d = model.regressors_from_raw(raw[:, j])
+            uc, dc = (u, d) if cent_gens is None \
+                else model.regressors_from_raw(raw_c[:, j])
+            distributed_update(w[:n], combiners, mus, model, u, d,
+                               out=nxt[:n], work=work)
+            centralized_update(w[n], p, mu_max, model, uc, dc,
+                               out=nxt[n], work=work)
+            w, nxt = nxt, w
 
-            centroid = np.einsum("k,tkm->tm", theta, w)
-            off = w - centroid[:, None, :]
-            offsets[i] = np.einsum("tkm,tkm->tk", off, off).mean(axis=0)
-
-            w_cent = centralized_update(w_cent, p, mu_max, model,
-                                        uc_all[:, j], dc_all[:, j])
-            err_c = w_cent - w_star
-            sq_c = np.einsum("tm,tm->t", err_c, err_c)
-            cent_msd[i] = sq_c.mean()
-
-            peak = max(float(sq.max()), float(sq_c.max()))
-            if not np.isfinite(peak) or peak > _DIVERGENCE_SQ:
-                flat = np.where(~np.isfinite(sq) | (sq > _DIVERGENCE_SQ))
-                trial = int(flat[0][0]) if flat[0].size else int(np.argmax(sq_c))
+            np.subtract(w, w_star[:, None], out=err)
+            np.einsum("kmt,kmt->kt", err, err, out=sq)
+            if not sq.max() <= _DIVERGENCE_SQ:
+                bad = ~(sq <= _DIVERGENCE_SQ)
+                rows = bad[:n].any(axis=0)
+                trial = int(np.flatnonzero(rows if rows.any() else bad[n])[0])
                 raise DivergenceError(
                     f"trajectory diverged at trial {trial}, iteration {i}; "
                     "the step size is too large",
                     trial=trial, iteration=i,
                 )
+            np.sum(sq, axis=1, out=sums[i])
+
+            agents = w[:n].reshape(n, -1)
+            off = np.subtract(agents, theta @ agents,
+                              out=err[:n].reshape(n, -1))
+            np.einsum("ij,ij->i", off, off, out=offsets[i])
 
             if i >= full_start:
                 acc += sq
-                acc_c += sq_c
                 if i >= half_start:
                     acc_half += sq
-                    acc_c_half += sq_c
 
+    # trial means: the sums over trials divided by T, as np.mean computes
+    offsets /= trials
     return LearningCurves(
-        msd=msd,
-        centralized_msd=cent_msd,
+        msd=sums[:, :n] / trials,
+        centralized_msd=sums[:, n] / trials,
         reference_err=ref_err,
         centroid_offset=offsets,
         trials=trials,
@@ -247,10 +258,10 @@ def run(config: SimConfig) -> LearningCurves:
         theta=theta,
         p=p,
         mu_max=mu_max,
-        _trial_msd=acc / window,
-        _trial_msd_half=acc_half / half,
-        _trial_cent=acc_c / window,
-        _trial_cent_half=acc_c_half / half,
+        _trial_msd=(acc[:n] / window).T,
+        _trial_msd_half=(acc_half[:n] / half).T,
+        _trial_cent=acc[n] / window,
+        _trial_cent_half=acc_half[n] / half,
     )
 
 
@@ -331,24 +342,25 @@ def decomposition_diagnostics(curves: LearningCurves,
 
 def export_csv(curves: LearningCurves, path) -> None:
     """Long-format dump: iter, agent, msd, msd_db, centralized_msd,
-    reference_err, centroid_offset."""
-    def _db(x):
-        return 10.0 * math.log10(x) if x > 0 else float("-inf")
+    reference_err, centroid_offset.
 
+    The bytes are those of ``csv.writer`` on the ``repr`` of each value
+    (CRLF line ends, nothing to quote); the lines are built in one pass.
+    """
+    n = curves.n_agents
+    msd = curves.msd.ravel().tolist()
+    db = [repr(10.0 * math.log10(x)) if x > 0 else "-inf" for x in msd]
+    msd = list(map(repr, msd))
+    offset = list(map(repr, curves.centroid_offset.ravel().tolist()))
+    shared = [f"{c},{r}" for c, r in zip(
+        map(repr, curves.centralized_msd.tolist()),
+        map(repr, curves.reference_err.tolist()))]
+    lines = ["iter,agent,msd,msd_db,centralized_msd,reference_err,"
+             "centroid_offset\r\n"]
+    lines += [f"{row // n},{row % n},{msd[row]},{db[row]},{shared[row // n]},"
+              f"{offset[row]}\r\n" for row in range(len(msd))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "agent", "msd", "msd_db", "centralized_msd",
-                         "reference_err", "centroid_offset"])
-        for i in range(curves.iters):
-            for k in range(curves.n_agents):
-                writer.writerow([
-                    i, k,
-                    repr(float(curves.msd[i, k])),
-                    repr(_db(float(curves.msd[i, k]))),
-                    repr(float(curves.centralized_msd[i])),
-                    repr(float(curves.reference_err[i])),
-                    repr(float(curves.centroid_offset[i, k])),
-                ])
+        fh.write("".join(lines))
 
 
 def run_summary(curves: LearningCurves, theory: dict | None = None) -> dict:

@@ -11,9 +11,11 @@ Three recursions share the per-agent sample stream:
 The stochastic gradient is always evaluated at the first-stage combine
 phi_k.  Step functions are pure given (state, rng); one network sample
 (every agent, agents in index order) is consumed per call.  The
-distributed and centralized steps are the batched kernels
-``distributed_update`` and ``centralized_update``, which ``sim.run``
-calls too.
+distributed and centralized steps are the kernels ``distributed_update``
+and ``centralized_update``, which ``sim.run`` calls too.  The kernels
+take the agent axis first and any trial axes trailing: the step
+functions pass states (N, M) and (M,), ``sim.run`` passes (N, M, T) and
+(M, T), so every combine is one (N, N) @ (N, M*T) matrix product.
 """
 
 from __future__ import annotations
@@ -63,26 +65,48 @@ def transposed_combiners(policy: CombinationPolicy):
     )
 
 
-def distributed_update(w, combiners, mus, model, u, d):
-    """Shared kernel for one distributed step; batched over leading axes.
+def _combine(c, x, out=None):
+    """Combine step C @ X for stacked rows X (N, ...): one GEMM over the
+    (N, prod(...)) view, written into ``out`` when given."""
+    flat = x.reshape(x.shape[0], -1)
+    if out is None:
+        return (c @ flat).reshape(x.shape)
+    np.matmul(c, flat, out=out.reshape(flat.shape))
+    return out
 
-    ``w`` has shape (..., N, M); ``u``/``d`` are matching fresh samples.
+
+def distributed_update(w, combiners, mus, model, u, d, out=None, work=None):
+    """Shared kernel for one distributed step; agent axis first, trial
+    axes trailing.
+
+    ``w`` has shape (N, M, *trials); ``u`` (N, M, *trials) and ``d``
+    (N, *trials) are matching fresh samples.  The result goes to ``out``
+    and the scaled gradient to ``work``, buffers shaped like ``w`` that
+    must not overlap it; each is allocated when not given.
     """
     c1, c0, c2 = combiners
-    phi = w if c1 is None else c1 @ w
-    grad = model.stochastic_gradient_network(phi, u, d)
-    psi = (phi if c0 is None else c0 @ phi) - mus[:, None] * grad
-    return psi if c2 is None else c2 @ psi
+    out = np.empty_like(w) if out is None else out
+    phi = w if c1 is None else _combine(c1, w, out)
+    step = model.stochastic_gradient_network(phi, u, d, out=work)
+    step *= mus.reshape((-1,) + (1,) * (w.ndim - 1))
+    psi = phi if c0 is None else _combine(c0, phi, out)
+    if c2 is None:
+        return np.subtract(psi, step, out=out)
+    return _combine(c2, np.subtract(psi, step, out=step), out)
 
 
-def centralized_update(w, p, mu_max, model, u, d):
-    """Shared kernel for one centralized step; batched over leading axes.
+def centralized_update(w, p, mu_max, model, u, d, out=None, work=None):
+    """Shared kernel for one centralized step; trial axes trailing.
 
-    ``w`` has shape (..., M); ``u``/``d`` are the matching network samples
-    (..., N, M) and (..., N).
+    ``w`` has shape (M, *trials); ``u``/``d`` are the matching network
+    samples (N, M, *trials) and (N, *trials).  ``out`` (shaped like ``w``)
+    and ``work`` (shaped like ``u``) are optional buffers.
     """
-    grad = model.stochastic_gradient_network(w[..., None, :], u, d)
-    return w - mu_max * np.einsum("k,...km->...m", p, grad)
+    grad = model.stochastic_gradient_network(w[None], u, d, out=work)
+    step = np.matmul(p, grad.reshape(p.shape[0], -1),
+                     out=None if out is None else out.reshape(-1))
+    step *= mu_max
+    return np.subtract(w, step.reshape(w.shape), out=out)
 
 
 def step_distributed(state: NetworkState, policy: CombinationPolicy,

@@ -72,9 +72,9 @@ class TestSampling:
     def test_monte_carlo_moments(self):
         model = make_model(sigma_n2=[0.1, 0.1])
         u, d = model.sample_network(np.random.default_rng(3), size=(100_000,))
-        cov = np.einsum("tki,tkj->kij", u, u) / u.shape[0]
+        cov = np.einsum("kit,kjt->kij", u, u) / u.shape[-1]
         assert np.abs(cov[0] - np.eye(2)).max() < 0.05
-        resid = d[:, 0] - u[:, 0] @ model.w_star
+        resid = d[0] - model.w_star @ u[0]
         assert np.var(resid) == pytest.approx(0.1, rel=0.05)
 
     def test_network_sampling_matches_raw_transform(self):
@@ -105,9 +105,9 @@ class TestGradients:
         rng = np.random.default_rng(6)
         w = np.array([0.3, -0.7])
         u, d = model.sample_network(rng, size=(100_000,))
-        grads = model.stochastic_gradient_network(w, u, d)
-        mean = grads[:, 0].mean(axis=0)
-        stderr = grads[:, 0].std(axis=0) / np.sqrt(u.shape[0])
+        grads = model.stochastic_gradient_network(w[:, None], u, d)
+        mean = grads[0].mean(axis=-1)
+        stderr = grads[0].std(axis=-1) / np.sqrt(u.shape[-1])
         truth = model.true_gradient(0, w)
         assert (np.abs(mean - truth) < 3 * stderr + 1e-12).all()
 
@@ -159,8 +159,9 @@ class TestNoiseCovariance:
         model = make_model(sigma_n2=[0.1, 0.1])
         rng = np.random.default_rng(8)
         u, d = model.sample_network(rng, size=(100_000,))
-        noise = model.stochastic_gradient_network(model.w_star, u, d)[:, 0]
-        emp = noise.T @ noise / noise.shape[0]
+        noise = model.stochastic_gradient_network(model.w_star[:, None], u,
+                                                  d)[0]
+        emp = noise @ noise.T / noise.shape[-1]
         expected = model.gradient_noise_covariance(0)
         assert np.abs(emp - expected).max() < 0.05 * np.abs(expected).max()
 
@@ -263,7 +264,7 @@ class TestAssumptionConstants:
         model = make_model(n=1, r_u=[np.eye(2)], sigma_n2=[0.0])
         rng = np.random.default_rng(12)
         u, _ = model.sample_network(rng, size=(200_000,))
-        dev = np.einsum("tki,tkj->tij", u, u) - np.eye(2)
+        dev = np.einsum("kit,kjt->tij", u, u) - np.eye(2)
         emp = np.mean(np.sum(dev ** 2, axis=(1, 2)))  # E ||R - u^T u||_F^2
         bound = np.trace(np.eye(2)) ** 2 + np.trace(np.eye(2))
         assert emp == pytest.approx(bound, rel=0.05)
@@ -293,10 +294,10 @@ class TestUnbiasedness:
         for w_seed in range(5):
             w = np.random.default_rng(w_seed).standard_normal(2)
             u, d = model.sample_network(rng, size=(100_000,))
-            grads = model.stochastic_gradient_network(w, u, d)
+            grads = model.stochastic_gradient_network(w[:, None], u, d)
             for k in range(2):
-                mean = grads[:, k].mean(axis=0)
-                stderr = grads[:, k].std(axis=0) / np.sqrt(u.shape[0])
+                mean = grads[k].mean(axis=-1)
+                stderr = grads[k].std(axis=-1) / np.sqrt(u.shape[-1])
                 truth = model.true_gradient(k, w)
                 assert (np.abs(mean - truth) < 4 * stderr + 1e-12).all()
 

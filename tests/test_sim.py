@@ -1,4 +1,8 @@
+import csv
 import math
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +12,20 @@ from adaptnet import (LinearModel, SimConfig, assemble, build_metropolis,
                       fit_geometric_rate, network_hessian, noise_profile,
                       predict_msd_identity, random_geometric, ring, run,
                       run_summary, steady_state_estimate)
-from adaptnet.errors import DivergenceError
+from adaptnet.errors import ContractError, DivergenceError
 
 
 def small_config(n=3, m=2, mu=2e-3, sigma=None, trials=50, iters=400,
-                 seed=11, kind="atc", paired=True, window=0.1):
+                 seed=11, kind="atc", paired=True, window=0.1, r_u=None):
     topo = ring(n)
     policy = assemble(kind, build_metropolis(topo), support=topo)
     rng = np.random.default_rng(5)
     w_star = rng.standard_normal(m)
     w_star /= np.linalg.norm(w_star)
     sigma_n2 = np.full(n, 0.01) if sigma is None else np.asarray(sigma)
-    model = LinearModel(w_star=w_star,
-                        r_u=np.broadcast_to(np.eye(m), (n, m, m)).copy(),
-                        sigma_n2=sigma_n2)
+    if r_u is None:
+        r_u = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+    model = LinearModel(w_star=w_star, r_u=r_u, sigma_n2=sigma_n2)
     return SimConfig(trials=trials, iters=iters, seed=seed, policy=policy,
                      model=model, mus=mu, steady_window=window,
                      paired_streams=paired)
@@ -127,12 +131,29 @@ class TestRunBasics:
         assert np.array_equal(a.centroid_offset, b.centroid_offset)
 
     def test_divergence_raises_with_location(self):
-        cfg = small_config(mu=5.0, trials=4, iters=50)
-        with pytest.warns(UserWarning, match="stability bound"):
-            with pytest.raises(DivergenceError) as err:
+        for paired in (True, False):
+            cfg = small_config(mu=5.0, trials=4, iters=50, paired=paired)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DivergenceError) as err:
+                    run(cfg)
+            # caught before any overflow: the stability-bound warning only
+            assert [w.category for w in caught] == [UserWarning]
+            assert "stability bound" in str(caught[0].message)
+            assert (err.value.trial, err.value.iteration) == (1, 12)
+
+    def test_block_buffers_must_fit_memory(self):
+        cfg = small_config(trials=10**8, iters=50)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ContractError, match="GiB of block buffers"):
                 run(cfg)
-        assert err.value.iteration is not None
-        assert err.value.trial is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
 
     def test_near_bound_step_warns(self):
         # bound for this model is lambda_l/(lambda_u^2/2 + 2 alpha) = 2/50
@@ -146,6 +167,31 @@ class TestRunBasics:
         assert np.array_equal(paired.msd, unpaired.msd)  # same distributed draw
         assert not np.array_equal(paired.centralized_msd,
                                   unpaired.centralized_msd)
+
+
+def _spd_covariances(n, m, seed):
+    q = np.random.default_rng(seed).standard_normal((n, m, m))
+    return q @ q.transpose(0, 2, 1) / m + 0.5 * np.eye(m)
+
+
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("identity", [True, False])
+@pytest.mark.parametrize("n, m", [(10, 5), (30, 10)])
+@pytest.mark.parametrize("kind", ["atc", "cta", "consensus"])
+def test_trial_rows_do_not_depend_on_trial_count(kind, n, m, identity, paired):
+    # trial t's stream and recursion are its own; only the summation order
+    # of the combine product, whose width is M*T, may differ between counts
+    r_u = None if identity else _spd_covariances(n, m, 9)
+    runs = {t: run(small_config(n=n, m=m, mu=1e-4, trials=t, iters=60,
+                                kind=kind, paired=paired, window=0.5,
+                                r_u=r_u))
+            for t in (1, 2, 8)}
+    full = runs[8]
+    for t in (1, 2):
+        for field_ in ("_trial_msd", "_trial_msd_half", "_trial_cent",
+                       "_trial_cent_half"):
+            assert np.allclose(getattr(runs[t], field_),
+                               getattr(full, field_)[:t], rtol=1e-12, atol=0)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +272,29 @@ class TestExports:
             "iter", "agent", "msd", "msd_db", "centralized_msd",
             "reference_err", "centroid_offset"]
         assert len(lines) == 1 + 40 * 3
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        curves = run(small_config(trials=3, iters=40))
+        curves.msd[0, 1] = 0.0  # a zero MSD exports msd_db = -inf
+        path = tmp_path / "curves.csv"
+        export_csv(curves, path)
+        ref = tmp_path / "reference.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "agent", "msd", "msd_db",
+                             "centralized_msd", "reference_err",
+                             "centroid_offset"])
+            for i in range(curves.iters):
+                for k in range(curves.n_agents):
+                    x = float(curves.msd[i, k])
+                    writer.writerow([
+                        i, k, repr(x),
+                        repr(10.0 * math.log10(x) if x > 0 else float("-inf")),
+                        repr(float(curves.centralized_msd[i])),
+                        repr(float(curves.reference_err[i])),
+                        repr(float(curves.centroid_offset[i, k]))])
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"\r\n0,1,0.0,-inf," in path.read_bytes()
 
     def test_summary_contains_theory_deltas(self):
         curves = run(small_config(trials=5, iters=40))

@@ -96,6 +96,36 @@ class TestFixedPointAndDeterminism:
         expected = (policy.a1 @ policy.a0 @ policy.a2).T @ w
         assert np.allclose(out, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("factors", range(8))
+    def test_trial_batch_matches_per_trial_textbook_form(self, factors):
+        # every placement of identity factors, so every buffer path of the
+        # kernel; trials trailing, written through preallocated buffers
+        from adaptnet.strategy import distributed_update
+
+        _, _, _, model = lms_setup(n=5, m=3)
+        rng = np.random.default_rng(factors)
+        mats = [rng.random((5, 5)) for _ in range(3)]
+        combiners = tuple(c if factors >> i & 1 else None
+                          for i, c in enumerate(mats))
+        mus = rng.uniform(1e-3, 1e-2, 5)
+        w = rng.standard_normal((5, 3, 4))
+        u, d = model.sample_network(rng, size=(4,))
+        out, work = np.empty_like(w), np.empty_like(w)
+        got = distributed_update(w, combiners, mus, model, u, d, out=out,
+                                 work=work)
+        assert got is out
+
+        def comb(c, x):
+            return x if c is None else c @ x
+
+        c1, c0, c2 = combiners
+        for t in range(4):
+            phi = comb(c1, w[..., t])
+            grad = -2.0 * u[..., t] * (d[:, t] - np.sum(u[..., t] * phi,
+                                                       axis=1))[:, None]
+            want = comb(c2, comb(c0, phi) - mus[:, None] * grad)
+            assert np.allclose(got[..., t], want, rtol=1e-12, atol=1e-15)
+
     def test_dimension_mismatch_rejected(self):
         topo, policy, perron, model = lms_setup()
         with pytest.raises(ContractError):
