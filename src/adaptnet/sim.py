@@ -14,12 +14,25 @@ fixed-size iteration blocks laid out iteration-major with the regressor
 normals of all agents followed by the measurement noises; the draws do
 not depend on the trial count, and a trial's results agree across trial
 counts to rounding (the product's summation order depends on M*T).
+
+Each stream's 256-iteration block buffer is a double buffer of two
+128-iteration halves: a worker thread draws the next half for every
+trial while the main thread steps through the current one (numpy's
+normal fill releases the interpreter lock), and the main thread, once
+through its half, draws the trials the worker has not reached.  Each
+generator is called in the same order either way, so the results do not
+depend on which thread draws.  No worker is used when the process may
+run on one CPU only, or when the streams are narrower than
+``_WORKER_MIN_WIDTH`` normals per network sample, where the per-trial
+draws are too small to pay for handing the interpreter lock back and
+forth.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +46,10 @@ from .strategy import (centralized_update, distributed_update, reference_init,
 from .theory import stable_step_bound
 
 _BLOCK = 256
+_HALF = _BLOCK // 2
+# narrower streams draw serially: on 2 vCPUs the worker's time over the
+# serial time was about 1.0 at width 12 and 0.87 at width 16
+_WORKER_MIN_WIDTH = 16
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CENT_SALT = 0x94D049BB133111EB
@@ -136,6 +153,65 @@ def _stderr(v: np.ndarray) -> np.ndarray:
     return v.std(axis=0, ddof=1) / math.sqrt(v.shape[0])
 
 
+class _Draws:
+    """The draws of iterations [lo, hi) for every trial of every stream,
+    into the block buffer rows from lo % _BLOCK.  Each trial's draw is
+    taken by whichever thread asks next: the worker started here, if any,
+    and the caller of ``wait``, so neither idles while the other draws."""
+
+    def __init__(self, streams, lo: int, hi: int, worker: bool):
+        rows = slice(lo % _BLOCK, lo % _BLOCK + hi - lo)
+        self._todo = iter([(g, dst) for gens, buf in streams
+                           for g, dst in zip(gens, buf[:, rows])])
+        self._lock = threading.Lock()
+        self._error = None
+        self._worker = None
+        if worker:
+            self._worker = threading.Thread(target=self._work,
+                                            name="adaptnet-draws")
+            self._worker.start()
+
+    def _draw(self) -> None:
+        while True:
+            with self._lock:
+                task = next(self._todo, None)
+            if task is None:
+                return
+            g, dst = task
+            g.standard_normal(dst.shape, out=dst)
+
+    def _work(self) -> None:
+        try:
+            self._draw()
+        except Exception as exc:  # re-raised by wait on the stepping thread
+            self._error = exc
+
+    def wait(self) -> None:
+        """Draw what is left, join the worker and re-raise its error."""
+        self._draw()
+        self.cancel()
+        if self._error is not None:
+            raise self._error
+
+    def cancel(self) -> None:
+        """Drop the draws no thread has taken and join the worker."""
+        with self._lock:
+            self._todo = iter(())
+        if self._worker is not None:
+            self._worker.join()
+
+
+def _use_worker(width: int) -> bool:
+    """Draw on a worker thread when a second CPU is available to this
+    process and a per-trial draw is wide enough to pay for the lock
+    handoffs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and width >= _WORKER_MIN_WIDTH
+
+
 def run(config: SimConfig) -> LearningCurves:
     """Evolve all three recursions and accumulate learning curves.
 
@@ -148,8 +224,8 @@ def run(config: SimConfig) -> LearningCurves:
     """
     model, policy = config.model, config.policy
     n, m = model.n_agents, model.m
-    streams = 1 if config.paired_streams else 2
-    need = streams * config.trials * _BLOCK * model.stream_width * 8
+    n_streams = 1 if config.paired_streams else 2
+    need = n_streams * config.trials * _BLOCK * model.stream_width * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ContractError(
@@ -173,77 +249,82 @@ def run(config: SimConfig) -> LearningCurves:
     combiners = transposed_combiners(policy)
     width = model.stream_width
 
-    gens = [np.random.default_rng(trial_seed(config.seed, t))
-            for t in range(trials)]
-    cent_gens = None
+    streams = [([np.random.default_rng(trial_seed(config.seed, t))
+                 for t in range(trials)], np.empty((trials, _BLOCK, width)))]
     if not config.paired_streams:
-        cent_gens = [np.random.default_rng(trial_seed(config.seed, t, _CENT_SALT))
-                     for t in range(trials)]
+        streams.append(([np.random.default_rng(
+            trial_seed(config.seed, t, _CENT_SALT)) for t in range(trials)],
+            np.empty((trials, _BLOCK, width))))
+    raw, raw_c = streams[0][1], streams[-1][1]
+    # with a worker, half-block c + 1 is drawn while c is stepped through
+    worker = _use_worker(width)
+    chunk = _HALF if worker else _BLOCK
+    pending = _Draws(streams, 0, min(chunk, iters), worker)
+    try:
+        # deterministic reference trajectory, shared by every trial
+        ref_err = np.empty(iters)
+        ref = reference_init(np.zeros((n, m)), theta)
+        for i in range(iters):
+            ref = step_reference(ref, perron, model)
+            ref_err[i] = float(np.sum((w_star - ref.w_bar) ** 2))
 
-    # deterministic reference trajectory, shared by every trial
-    ref_err = np.empty(iters)
-    ref = reference_init(np.zeros((n, m)), theta)
-    for i in range(iters):
-        ref = step_reference(ref, perron, model)
-        ref_err[i] = float(np.sum((w_star - ref.w_bar) ** 2))
+        full_start, half_start = _window_starts(iters, config.steady_window)
+        window, half = iters - full_start, iters - half_start
 
-    full_start, half_start = _window_starts(iters, config.steady_window)
-    window, half = iters - full_start, iters - half_start
+        # agents in rows 0..N-1, the centralized iterate in row N, trials last
+        w = np.zeros((n + 1, m, trials))
+        nxt = np.empty_like(w)
+        err = np.empty_like(w)
+        work = np.empty((n, m, trials))
+        sq = np.empty((n + 1, trials))
+        acc = np.zeros((n + 1, trials))
+        acc_half = np.zeros((n + 1, trials))
+        sums = np.empty((iters, n + 1))
+        offsets = np.empty((iters, n))
 
-    # rows 0..N-1 hold the agents, row N the centralized iterate; trials last
-    w = np.zeros((n + 1, m, trials))
-    nxt = np.empty_like(w)
-    err = np.empty_like(w)
-    work = np.empty((n, m, trials))
-    sq = np.empty((n + 1, trials))
-    acc = np.zeros((n + 1, trials))
-    acc_half = np.zeros((n + 1, trials))
-    sums = np.empty((iters, n + 1))
-    offsets = np.empty((iters, n))
-    raw = np.empty((trials, _BLOCK, width))
-    raw_c = None if cent_gens is None else np.empty((trials, _BLOCK, width))
+        for lo in range(0, iters, chunk):
+            hi = min(lo + chunk, iters)
+            pending.wait()
+            pending = _Draws(streams, hi, min(hi + chunk, iters), worker) \
+                if hi < iters else None
 
-    for base in range(0, iters, _BLOCK):
-        blk = min(_BLOCK, iters - base)
-        for t, g in enumerate(gens):
-            g.standard_normal((blk, width), out=raw[t, :blk])
-        if cent_gens is not None:
-            for t, g in enumerate(cent_gens):
-                g.standard_normal((blk, width), out=raw_c[t, :blk])
+            for i in range(lo, hi):
+                j = i % _BLOCK
+                u, d = model.regressors_from_raw(raw[:, j])
+                uc, dc = (u, d) if config.paired_streams \
+                    else model.regressors_from_raw(raw_c[:, j])
+                distributed_update(w[:n], combiners, mus, model, u, d,
+                                   out=nxt[:n], work=work)
+                centralized_update(w[n], p, mu_max, model, uc, dc,
+                                   out=nxt[n], work=work)
+                w, nxt = nxt, w
 
-        for j in range(blk):
-            i = base + j
-            u, d = model.regressors_from_raw(raw[:, j])
-            uc, dc = (u, d) if cent_gens is None \
-                else model.regressors_from_raw(raw_c[:, j])
-            distributed_update(w[:n], combiners, mus, model, u, d,
-                               out=nxt[:n], work=work)
-            centralized_update(w[n], p, mu_max, model, uc, dc,
-                               out=nxt[n], work=work)
-            w, nxt = nxt, w
+                np.subtract(w, w_star[:, None], out=err)
+                np.einsum("kmt,kmt->kt", err, err, out=sq)
+                if not sq.max() <= _DIVERGENCE_SQ:
+                    bad = ~(sq <= _DIVERGENCE_SQ)
+                    rows = bad[:n].any(axis=0)
+                    trial = int(np.flatnonzero(rows if rows.any()
+                                               else bad[n])[0])
+                    raise DivergenceError(
+                        f"trajectory diverged at trial {trial}, iteration "
+                        f"{i}; the step size is too large",
+                        trial=trial, iteration=i,
+                    )
+                np.sum(sq, axis=1, out=sums[i])
 
-            np.subtract(w, w_star[:, None], out=err)
-            np.einsum("kmt,kmt->kt", err, err, out=sq)
-            if not sq.max() <= _DIVERGENCE_SQ:
-                bad = ~(sq <= _DIVERGENCE_SQ)
-                rows = bad[:n].any(axis=0)
-                trial = int(np.flatnonzero(rows if rows.any() else bad[n])[0])
-                raise DivergenceError(
-                    f"trajectory diverged at trial {trial}, iteration {i}; "
-                    "the step size is too large",
-                    trial=trial, iteration=i,
-                )
-            np.sum(sq, axis=1, out=sums[i])
+                agents = w[:n].reshape(n, -1)
+                off = np.subtract(agents, theta @ agents,
+                                  out=err[:n].reshape(n, -1))
+                np.einsum("ij,ij->i", off, off, out=offsets[i])
 
-            agents = w[:n].reshape(n, -1)
-            off = np.subtract(agents, theta @ agents,
-                              out=err[:n].reshape(n, -1))
-            np.einsum("ij,ij->i", off, off, out=offsets[i])
-
-            if i >= full_start:
-                acc += sq
-                if i >= half_start:
-                    acc_half += sq
+                if i >= full_start:
+                    acc += sq
+                    if i >= half_start:
+                        acc_half += sq
+    finally:
+        if pending is not None:
+            pending.cancel()
 
     # trial means: the sums over trials divided by T, as np.mean computes
     offsets /= trials

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -63,6 +64,17 @@ def canonical_report(kind="atc"):
     model = canonical_model()
     policy = canonical_policy(kind, model=model)
     return build_report(model, policy, build_perron(policy, MU))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.is_alive()]
+    if leaked:
+        pytest.fail(f"test left threads running: {leaked}")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 import csv
+import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -12,6 +15,7 @@ from adaptnet import (LinearModel, SimConfig, assemble, build_metropolis,
                       fit_geometric_rate, network_hessian, noise_profile,
                       predict_msd_identity, random_geometric, ring, run,
                       run_summary, steady_state_estimate)
+from adaptnet import sim
 from adaptnet.errors import ContractError, DivergenceError
 
 
@@ -130,9 +134,14 @@ class TestRunBasics:
         assert np.array_equal(a.centralized_msd, b.centralized_msd)
         assert np.array_equal(a.centroid_offset, b.centroid_offset)
 
-    def test_divergence_raises_with_location(self):
-        for paired in (True, False):
-            cfg = small_config(mu=5.0, trials=4, iters=50, paired=paired)
+    def test_divergence_raises_with_location(self, monkeypatch):
+        # at 160 iterations the worker is drawing half-block 1 when
+        # iteration 12 diverges; it must be joined before the error escapes
+        threads = threading.active_count()
+        for worker, paired, iters in itertools.product(
+                (False, True), (True, False), (50, 160)):
+            _force_worker(monkeypatch, worker)
+            cfg = small_config(mu=5.0, trials=4, iters=iters, paired=paired)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(DivergenceError) as err:
@@ -141,6 +150,7 @@ class TestRunBasics:
             assert [w.category for w in caught] == [UserWarning]
             assert "stability bound" in str(caught[0].message)
             assert (err.value.trial, err.value.iteration) == (1, 12)
+            assert threading.active_count() == threads
 
     def test_block_buffers_must_fit_memory(self):
         cfg = small_config(trials=10**8, iters=50)
@@ -167,6 +177,135 @@ class TestRunBasics:
         assert np.array_equal(paired.msd, unpaired.msd)  # same distributed draw
         assert not np.array_equal(paired.centralized_msd,
                                   unpaired.centralized_msd)
+
+
+def _force_worker(monkeypatch, on):
+    """Draw on a worker thread for every stream width (on) or never."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity",
+                        lambda pid: {0, 1} if on else {0})
+    monkeypatch.setattr(sim, "_WORKER_MIN_WIDTH", 0)
+
+
+def _run_noting_threads(cfg, monkeypatch):
+    """Run cfg with monkeypatch; return the curves and whether a draw
+    worker was started."""
+    started = []
+    work = sim._Draws._work
+
+    def spy(self):
+        started.append(threading.current_thread().name)
+        work(self)
+
+    monkeypatch.setattr(sim._Draws, "_work", spy)
+    return run(cfg), bool(started)
+
+
+_CURVE_FIELDS = ("msd", "centralized_msd", "reference_err", "centroid_offset",
+                 "_trial_msd", "_trial_msd_half", "_trial_cent",
+                 "_trial_cent_half")
+
+
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("kind", ["atc", "cta", "consensus"])
+def test_serial_draws_match_the_worker(kind, paired, monkeypatch):
+    # iteration counts around the 128-iteration half-block edges; the
+    # wide streams (width 30) get the worker on two CPUs and none on one,
+    # the narrow ones (width 9) none unless the width gate is lifted
+    wide, narrow = (4, 5), (3, 2)
+    assert wide[0] * (wide[1] + 1) >= sim._WORKER_MIN_WIDTH \
+        > narrow[0] * (narrow[1] + 1)
+    for iters in (37, 128, 129, 300):
+        for n, m in (wide, narrow):
+            cfg = small_config(n=n, m=m, trials=5, iters=iters, kind=kind,
+                               paired=paired)
+            with monkeypatch.context() as mp:
+                _force_worker(mp, True)
+                threaded, used = _run_noting_threads(cfg, mp)
+            assert used
+            with monkeypatch.context() as mp:
+                if (n, m) == wide:
+                    mp.setattr(sim.os, "sched_getaffinity", lambda pid: {0})
+                serial, used = _run_noting_threads(cfg, mp)
+            assert not used
+            for name in _CURVE_FIELDS:
+                assert np.array_equal(getattr(serial, name),
+                                      getattr(threaded, name)), name
+
+
+class TestDrawWorkerLifetime:
+    """The worker is joined before ``run`` returns or raises."""
+
+    @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+    def test_joined_when_the_reference_loop_raises(self, fault, monkeypatch):
+        _force_worker(monkeypatch, True)
+        threads = threading.active_count()
+
+        def broken(*args):
+            raise fault("reference step failed")
+
+        monkeypatch.setattr(sim, "step_reference", broken)
+        with pytest.raises(fault, match="reference step failed"):
+            run(small_config(trials=200, iters=300))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_joined_on_interrupt_mid_run(self, paired, monkeypatch):
+        _force_worker(monkeypatch, True)
+        threads = threading.active_count()
+        steps = []
+        update = sim.distributed_update
+
+        def interrupted(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 140:  # inside half-block 1, 2 being drawn
+                raise KeyboardInterrupt
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "distributed_update", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(small_config(trials=50, iters=700, paired=paired))
+        assert threading.active_count() == threads
+
+    def test_worker_error_is_raised_by_run(self, monkeypatch):
+        _force_worker(monkeypatch, True)
+        draw = sim._Draws._draw
+
+        def failing(self):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room for the draws")
+            draw(self)
+
+        monkeypatch.setattr(sim._Draws, "_draw", failing)
+        with pytest.raises(MemoryError, match="no room for the draws"):
+            run(small_config(trials=5, iters=300))
+
+
+def test_each_trial_is_drawn_once_under_contention():
+    # more drawing threads than cores, switching as often as the
+    # interpreter allows: a trial taken twice or skipped changes the buffer
+    trials, width = 64, 20
+
+    def streams():
+        return [([np.random.default_rng(s) for s in range(trials)],
+                 np.zeros((trials, sim._BLOCK, width)))]
+
+    expected = streams()
+    sim._Draws(expected, 128, 256, worker=False).wait()
+    got = streams()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        draws = sim._Draws(got, 128, 256, worker=True)
+        helpers = [threading.Thread(target=draws._draw) for _ in range(4)]
+        for helper in helpers:
+            helper.start()
+        draws.wait()
+        for helper in helpers:
+            helper.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(helper.is_alive() for helper in helpers)
+    assert np.array_equal(got[0][1], expected[0][1])
 
 
 def _spd_covariances(n, m, seed):
