@@ -24,8 +24,8 @@ from .sim import (LearningCurves, SimConfig, decomposition_diagnostics,
                   export_csv, fit_geometric_rate, run, run_summary,
                   steady_state_estimate)
 from .strategy import (CentralState, NetworkState, ReferenceState,
-                       reference_init, step_centralized, step_distributed,
-                       step_reference)
+                       reference_error_curve, reference_init,
+                       step_centralized, step_distributed, step_reference)
 from .theory import (OptimalWeights, TheoryReport, build_report,
                      convergence_rate, optimal_theta, optimal_theta_for_model,
                      predict_msd_identity, predict_weighted_mse,

@@ -137,26 +137,37 @@ class LinearModel:
         return u, d
 
     def regressors_from_raw(self, raw: np.ndarray):
-        """Map raw standard normals (*batch, N*M + N) to u (N, M, *batch)
-        and d (N, *batch): agent axis first, batch axes trailing.
+        """Map raw standard normals (*steps, T, N*M + N) to u
+        (*steps, N, M, T) and d (*steps, N, T): any leading batch axes
+        stay first, the last one trails the agent axes.  One sample
+        (N*M + N,) maps to u (N, M) and d (N,).
 
         Per network sample the stream is laid out regressors-first:
         N*M values for the regressors, then N for the measurement noise.
+        Each step's u[s] and d[s] is one contiguous block, so a batch of
+        steps (``sim.run``'s rows of T trials) is transformed in one call
+        and stepped through slice by slice.
         """
         n, m = self.n_agents, self.m
-        batch = raw.shape[:-1]
-        # gather rows first: transposing straight out of a strided block
-        # (one trial's rows far apart) is several times slower
-        stream = np.einsum("...w->w...", np.ascontiguousarray(raw)).copy()
-        u = stream[: n * m].reshape((n, m) + batch)
+        single = raw.ndim == 1
+        # gather first, in the block's memory order (a batch of steps is one
+        # run of rows per trial): transposing straight out of a strided
+        # block (one trial's rows far apart) is several times slower
+        rows = np.copy(raw[None] if single else raw, order="K")
+        stream = np.swapaxes(rows, -1, -2).copy()  # (*steps, N*M + N, T)
+        u = stream[..., : n * m, :].reshape(stream.shape[:-2] + (n, m, -1))
         if not self._identity_factors:
-            u = np.einsum("kij,kj...->ki...", self._factors, u)
-        scale = np.sqrt(self.sigma_n2).reshape((n,) + (1,) * len(batch))
-        d = np.einsum("km...,m->k...", u, self.w_star) + stream[n * m:] * scale
-        return u, d
+            u = np.einsum("kij,...kjt->...kit", self._factors, u)
+        noise = stream[..., n * m:, :]
+        noise *= np.sqrt(self.sigma_n2)[:, None]
+        d = np.einsum("...kmt,m->...kt", u, self.w_star)
+        d += noise
+        return (u[..., 0], d[..., 0]) if single else (u, d)
 
     def sample_network(self, rng, size: tuple = ()):
-        """Fresh samples for every agent: u (N, M, *size), d (N, *size)."""
+        """Fresh samples for every agent, laid out as ``regressors_from_raw``
+        lays them out: u (N, M) and d (N,) for size (), u (N, M, T) and
+        d (N, T) for size (T,)."""
         raw = rng.standard_normal(tuple(size) + (self.stream_width,))
         return self.regressors_from_raw(raw)
 

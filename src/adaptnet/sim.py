@@ -8,12 +8,12 @@ convergence rates, and centroid-decomposition diagnostics.
 Trials are evolved in lockstep, agent-major: the iterates are one
 (N + 1, M, T) array, rows 0..N-1 the agents and row N the centralized
 iterate, with the T trials on the last axis, so each combine is one
-(N, N) @ (N, M*T) product and each step's statistics are one pass over
-the array.  Each trial owns a counter-derived random stream, consumed in
-fixed-size iteration blocks laid out iteration-major with the regressor
-normals of all agents followed by the measurement noises; the draws do
-not depend on the trial count, and a trial's results agree across trial
-counts to rounding (the product's summation order depends on M*T).
+(N, N) @ (N, M*T) product.  Each trial owns a counter-derived random
+stream, consumed in fixed-size iteration blocks laid out iteration-major
+with the regressor normals of all agents followed by the measurement
+noises; the draws do not depend on the trial count, and a trial's
+results agree across trial counts to rounding (the product's summation
+order depends on M*T).
 
 Each stream's 256-iteration block buffer is a double buffer of two
 128-iteration halves: a worker thread draws the next half for every
@@ -26,6 +26,19 @@ run on one CPU only, or when the streams are narrower than
 ``_WORKER_MIN_WIDTH`` normals per network sample, where the per-trial
 draws are too small to pay for handing the interpreter lock back and
 forth.
+
+The stepping thread walks through its chunk (a half-block, or the whole
+block without a worker) in batches of k iterations: k is the largest
+count whose raw draws, k * T * (N*M + N) * 8 bytes, fit ``_BATCH_BYTES``,
+but at least 1 and at most the chunk.  Per batch the (u, d) transform is
+one call, the kernels write into k preallocated iterate slots (two banks
+used in turn; with k = 1 a plain ping-pong), and one statistics pass
+covers the whole batch.  Every step does the same arithmetic whatever k
+is, so k changes no result.  The batch buffers are bounded by the
+budget: each holds at most about ``_BATCH_BYTES`` (an iterate bank
+(N + 1) M / (N M + N) times it), or one step's worth when k = 1.  The
+block buffers and their memory check are unchanged.  The deterministic
+reference curve is one closed form, ``reference_error_curve``.
 """
 
 from __future__ import annotations
@@ -41,8 +54,9 @@ import numpy as np
 from .errors import ContractError, DivergenceError
 from .model import assumption_constants, limit_point
 from .policy import CombinationPolicy, build_perron
-from .strategy import (centralized_update, distributed_update, reference_init,
-                       step_reference, transposed_combiners)
+from .strategy import (centralized_update, distributed_update,
+                       reference_error_curve, reference_init,
+                       transposed_combiners)
 from .theory import stable_step_bound
 
 _BLOCK = 256
@@ -50,6 +64,13 @@ _HALF = _BLOCK // 2
 # narrower streams draw serially: on 2 vCPUs the worker's time over the
 # serial time was about 1.0 at width 12 and 0.87 at width 16
 _WORKER_MIN_WIDTH = 16
+# raw draws per batch of steps, T * k * (N*M + N) * 8 bytes at most (k >= 1)
+# sim.run on partial_obs_cta (200 trials x 6 normals, 2 000 iterations; a
+# 2-vCPU VM, one BLAS thread) took 0.34, 0.24, 0.21, 0.20, 0.20, 0.19 s at
+# 0, 32, 64, 128, 256, 512 KiB (k = 1, 3, 6, 13, 27, 54), and its peak RSS
+# grew by about 0.3 MB at 64 KiB, 0.9 MB at 128 and 1.9 MB at 256 over k = 1.
+# The canonical (400 x 60) and fig4 (50 x 330) streams keep k = 1.
+_BATCH_BYTES = 64 << 10
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CENT_SALT = 0x94D049BB133111EB
@@ -216,11 +237,17 @@ def run(config: SimConfig) -> LearningCurves:
     """Evolve all three recursions and accumulate learning curves.
 
     Agents start from zero, so the curves begin in the coordinated
-    (reference-tracking) phase directly.  Raises ``DivergenceError`` when
-    any trajectory leaves the trust region, which signals an unstable
-    step size, and ``ContractError`` before any work when the random-draw
-    block buffers, T * 256 * (N*M + N) * 8 bytes per stream, exceed
-    physical memory.
+    (reference-tracking) phase directly.  The Monte Carlo recursions are
+    stepped in batches of k iterations whose raw draws fit
+    ``_BATCH_BYTES``: one (u, d) transform and one statistics pass per
+    batch; the batch buffers are bounded by that budget.  The
+    reference curve is ``reference_error_curve``'s closed form.  Raises
+    ``DivergenceError`` at the first iteration, and its first trial
+    (agents before the centralized row), where a trajectory leaves the
+    trust region, which signals an unstable step size; the steps a batch
+    takes past that point raise no overflow warnings.  Raises
+    ``ContractError`` before any work when the random-draw block buffers,
+    T * 256 * (N*M + N) * 8 bytes per stream, exceed physical memory.
     """
     model, policy = config.model, config.policy
     n, m = model.n_agents, model.m
@@ -259,24 +286,25 @@ def run(config: SimConfig) -> LearningCurves:
     # with a worker, half-block c + 1 is drawn while c is stepped through
     worker = _use_worker(width)
     chunk = _HALF if worker else _BLOCK
+    batch = max(1, min(chunk, _BATCH_BYTES // (trials * width * 8)))
     pending = _Draws(streams, 0, min(chunk, iters), worker)
     try:
-        # deterministic reference trajectory, shared by every trial
-        ref_err = np.empty(iters)
-        ref = reference_init(np.zeros((n, m)), theta)
-        for i in range(iters):
-            ref = step_reference(ref, perron, model)
-            ref_err[i] = float(np.sum((w_star - ref.w_bar) ** 2))
+        # the deterministic reference curve, shared by every trial (a
+        # worker draws the first chunk meanwhile)
+        ref_err = reference_error_curve(
+            reference_init(np.zeros((n, m)), theta), perron, model, w_star,
+            iters)
 
         full_start, half_start = _window_starts(iters, config.steady_window)
         window, half = iters - full_start, iters - half_start
 
-        # agents in rows 0..N-1, the centralized iterate in row N, trials last
-        w = np.zeros((n + 1, m, trials))
-        nxt = np.empty_like(w)
-        err = np.empty_like(w)
+        # two banks of `batch` iterate slots, stepped into in turn: agents
+        # in rows 0..N-1, the centralized iterate in row N, trials last
+        bank, spare = np.zeros((2, batch, n + 1, m, trials))
+        w = spare[-1]
+        err = np.empty_like(bank)
         work = np.empty((n, m, trials))
-        sq = np.empty((n + 1, trials))
+        sq = np.empty((batch, n + 1, trials))
         acc = np.zeros((n + 1, trials))
         acc_half = np.zeros((n + 1, trials))
         sums = np.empty((iters, n + 1))
@@ -288,40 +316,51 @@ def run(config: SimConfig) -> LearningCurves:
             pending = _Draws(streams, hi, min(hi + chunk, iters), worker) \
                 if hi < iters else None
 
-            for i in range(lo, hi):
-                j = i % _BLOCK
-                u, d = model.regressors_from_raw(raw[:, j])
+            for start in range(lo, hi, batch):
+                stop = min(start + batch, hi)
+                steps = stop - start
+                rows = slice(start % _BLOCK, start % _BLOCK + steps)
+                u, d = model.regressors_from_raw(raw[:, rows].swapaxes(0, 1))
                 uc, dc = (u, d) if config.paired_streams \
-                    else model.regressors_from_raw(raw_c[:, j])
-                distributed_update(w[:n], combiners, mus, model, u, d,
-                                   out=nxt[:n], work=work)
-                centralized_update(w[n], p, mu_max, model, uc, dc,
-                                   out=nxt[n], work=work)
-                w, nxt = nxt, w
+                    else model.regressors_from_raw(
+                        raw_c[:, rows].swapaxes(0, 1))
+                slots, e, q = bank[:steps], err[:steps], sq[:steps]
+                # past a divergence the batch steps on to its end; the check
+                # below reports the first step that left the trust region
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for s, nxt in enumerate(slots):
+                        distributed_update(w[:n], combiners, mus, model,
+                                           u[s], d[s], out=nxt[:n], work=work)
+                        centralized_update(w[n], p, mu_max, model, uc[s],
+                                           dc[s], out=nxt[n], work=work)
+                        w = nxt
+                    np.subtract(slots, w_star[:, None], out=e)
+                    np.einsum("skmt,skmt->skt", e, e, out=q)
 
-                np.subtract(w, w_star[:, None], out=err)
-                np.einsum("kmt,kmt->kt", err, err, out=sq)
-                if not sq.max() <= _DIVERGENCE_SQ:
-                    bad = ~(sq <= _DIVERGENCE_SQ)
-                    rows = bad[:n].any(axis=0)
-                    trial = int(np.flatnonzero(rows if rows.any()
-                                               else bad[n])[0])
+                if not q.max() <= _DIVERGENCE_SQ:
+                    bad = ~(q <= _DIVERGENCE_SQ)
+                    s = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+                    by_agent = bad[s, :n].any(axis=0)
+                    trial = int(np.flatnonzero(by_agent if by_agent.any()
+                                               else bad[s, n])[0])
                     raise DivergenceError(
                         f"trajectory diverged at trial {trial}, iteration "
-                        f"{i}; the step size is too large",
-                        trial=trial, iteration=i,
+                        f"{start + s}; the step size is too large",
+                        trial=trial, iteration=start + s,
                     )
-                np.sum(sq, axis=1, out=sums[i])
+                np.sum(q, axis=2, out=sums[start:stop])
 
-                agents = w[:n].reshape(n, -1)
-                off = np.subtract(agents, theta @ agents,
-                                  out=err[:n].reshape(n, -1))
-                np.einsum("ij,ij->i", off, off, out=offsets[i])
+                agents = slots[:, :n].reshape(steps, n, -1)
+                off = np.subtract(agents, (theta @ agents)[:, None],
+                                  out=e[:, :n].reshape(agents.shape))
+                np.einsum("sij,sij->si", off, off, out=offsets[start:stop])
 
-                if i >= full_start:
-                    acc += sq
+                # row by row in iteration order, as a per-step sum adds
+                for i in range(max(start, full_start), stop):
+                    acc += q[i - start]
                     if i >= half_start:
-                        acc_half += sq
+                        acc_half += q[i - start]
+                bank, spare = spare, bank
     finally:
         if pending is not None:
             pending.cancel()

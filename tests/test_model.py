@@ -86,6 +86,21 @@ class TestSampling:
         u2, d2 = model.regressors_from_raw(raw)
         assert np.array_equal(u1, u2) and np.array_equal(d1, d2)
 
+    @pytest.mark.parametrize("r_u", [None, complementary_pair().r_u])
+    def test_batch_of_steps_maps_step_by_step(self, r_u):
+        # (steps, T, width) -> u (steps, N, M, T): each step's block is the
+        # transform of that step alone, contiguous, even from a strided view
+        model = make_model(r_u=r_u)
+        block = np.random.default_rng(6).standard_normal(
+            (4, 16, model.stream_width))
+        steps = block[:, 5:8].swapaxes(0, 1)
+        u, d = model.regressors_from_raw(steps)
+        assert u.shape == (3, 2, 2, 4) and d.shape == (3, 2, 4)
+        for s in range(3):
+            u1, d1 = model.regressors_from_raw(block[:, 5 + s])
+            assert np.array_equal(u[s], u1) and np.array_equal(d[s], d1)
+            assert u[s].flags.c_contiguous and d[s].flags.c_contiguous
+
 
 class TestGradients:
     def test_stochastic_gradient_zero_at_solution_noiseless(self):

@@ -136,20 +136,37 @@ class TestRunBasics:
 
     def test_divergence_raises_with_location(self, monkeypatch):
         # at 160 iterations the worker is drawing half-block 1 when
-        # iteration 12 diverges; it must be joined before the error escapes
+        # iteration 12 diverges; it must be joined before the error escapes.
+        # At 400 the reference curve's powers overflow and each batch steps
+        # on past the divergence; at mu = 1000, with a whole chunk per
+        # batch, the iterates reach inf inside the batch.  Nothing may warn
         threads = threading.active_count()
-        for worker, paired, iters in itertools.product(
-                (False, True), (True, False), (50, 160)):
+        update = sim.distributed_update
+        overflowed = []
+
+        def spy(*args, **kwargs):
+            out = update(*args, **kwargs)
+            overflowed.append(bool(np.isinf(out).any()))
+            return out
+
+        monkeypatch.setattr(sim, "distributed_update", spy)
+        cases = [(5.0, iters, sim._BATCH_BYTES, (1, 12))
+                 for iters in (50, 160, 400)] + [(1e3, 400, 1 << 40, (0, 3))]
+        for worker, paired, (mu, iters, budget, where) in itertools.product(
+                (False, True), (True, False), cases):
             _force_worker(monkeypatch, worker)
-            cfg = small_config(mu=5.0, trials=4, iters=iters, paired=paired)
+            monkeypatch.setattr(sim, "_BATCH_BYTES", budget)
+            overflowed.clear()
+            cfg = small_config(mu=mu, trials=4, iters=iters, paired=paired)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(DivergenceError) as err:
                     run(cfg)
-            # caught before any overflow: the stability-bound warning only
+            # the stability-bound warning only, no overflow
             assert [w.category for w in caught] == [UserWarning]
             assert "stability bound" in str(caught[0].message)
-            assert (err.value.trial, err.value.iteration) == (1, 12)
+            assert (err.value.trial, err.value.iteration) == where
+            assert any(overflowed) == (mu == 1e3)
             assert threading.active_count() == threads
 
     def test_block_buffers_must_fit_memory(self):
@@ -232,6 +249,32 @@ def test_serial_draws_match_the_worker(kind, paired, monkeypatch):
                                       getattr(threaded, name)), name
 
 
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("kind", ["atc", "cta", "consensus"])
+def test_batch_size_changes_nothing(kind, paired, monkeypatch):
+    # one step per batch, the default batch and a whole chunk per batch;
+    # 40 trials of width 9 put the default strictly between the two, and
+    # its batches do not divide the 128- and 256-iteration chunks
+    trials, n, m = 40, 3, 2
+    default = sim._BATCH_BYTES // (trials * n * (m + 1) * 8)
+    assert 1 < default < sim._HALF and sim._HALF % default
+    for identity, worker, iters in itertools.product(
+            (True, False), (True, False), (37, 128, 129, 300)):
+        cfg = small_config(n=n, m=m, trials=trials, iters=iters, kind=kind,
+                           paired=paired,
+                           r_u=None if identity else _spd_covariances(n, m, 4))
+        results = []
+        with monkeypatch.context() as mp:
+            _force_worker(mp, worker)
+            for budget in (0, sim._BATCH_BYTES, 1 << 40):
+                mp.setattr(sim, "_BATCH_BYTES", budget)
+                results.append(run(cfg))
+        for name in _CURVE_FIELDS:
+            for other in results[1:]:
+                assert np.array_equal(getattr(results[0], name),
+                                      getattr(other, name)), name
+
+
 class TestDrawWorkerLifetime:
     """The worker is joined before ``run`` returns or raises."""
 
@@ -241,10 +284,10 @@ class TestDrawWorkerLifetime:
         threads = threading.active_count()
 
         def broken(*args):
-            raise fault("reference step failed")
+            raise fault("reference curve failed")
 
-        monkeypatch.setattr(sim, "step_reference", broken)
-        with pytest.raises(fault, match="reference step failed"):
+        monkeypatch.setattr(sim, "reference_error_curve", broken)
+        with pytest.raises(fault, match="reference curve failed"):
             run(small_config(trials=200, iters=300))
         assert threading.active_count() == threads
 

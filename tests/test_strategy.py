@@ -3,8 +3,10 @@ import pytest
 
 from adaptnet import (CentralState, LinearModel, NetworkState, ReferenceState,
                       SimConfig, assemble, build_hastings, build_metropolis,
-                      build_perron, random_geometric, reference_init, ring, run,
-                      step_centralized, step_distributed, step_reference)
+                      build_perron, limit_point, network_hessian,
+                      random_geometric, reference_error_curve, reference_init,
+                      ring, run, step_centralized, step_distributed,
+                      step_reference)
 from adaptnet.errors import ContractError
 from adaptnet.sim import trial_seed
 
@@ -250,6 +252,55 @@ class TestReference:
                      / np.linalg.norm(state.w_bar - model.w_star))
             assert ratio == pytest.approx(rho, rel=1e-12)
             state = nxt
+
+
+class TestReferenceErrorCurve:
+    """The closed-form curve against the one-step recursion it solves."""
+
+    @staticmethod
+    def iterated(state, perron, model, target, steps):
+        out = np.empty(steps)
+        for i in range(steps):
+            state = step_reference(state, perron, model)
+            out[i] = np.sum((target - state.w_bar) ** 2)
+        return out
+
+    def check(self, state, perron, model, target, steps):
+        want = self.iterated(state, perron, model, target, steps)
+        got = reference_error_curve(state, perron, model, target, steps)
+        assert got.shape == (steps,)
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("mu", [1e-2, 2e-2])
+    def test_anisotropic_network(self, mu):
+        # per-agent covariances with distinct eigenvectors, uneven steps:
+        # H_c is no multiple of I and p no multiple of theta
+        n, m = 5, 3
+        topo = random_geometric(n, 0.8, 0)
+        policy = assemble("atc", build_metropolis(topo), support=topo)
+        rng = np.random.default_rng(1)
+        q = rng.standard_normal((n, m, m))
+        model = LinearModel(w_star=rng.standard_normal(m),
+                            r_u=q @ q.transpose(0, 2, 1) / m + 0.1 * np.eye(m),
+                            sigma_n2=np.full(n, 0.01))
+        perron = build_perron(policy, mu * rng.uniform(0.5, 1.0, n))
+        lam = np.linalg.eigvalsh(network_hessian(model, perron.p))
+        assert lam.max() > 3 * lam.min()
+        self.check(reference_init(np.zeros((n, m)), perron.theta), perron,
+                   model, limit_point(model, perron.p), 300)
+
+    @pytest.mark.parametrize("mu", [0.9, 1.3])
+    def test_negative_contraction(self, mu):
+        # mu lam = 1.44 (rho = -0.44) and, past the bound, 2.08 (rho = -1.08)
+        _, _, _, model = lms_setup(n=1, m=2, sigma=0.0)
+        model = LinearModel(w_star=model.w_star,
+                            r_u=np.diag([0.3, 0.8])[None],
+                            sigma_n2=np.zeros(1))
+        perron = build_perron(assemble("atc", np.eye(1), support=ring(1)), mu)
+        rho = 1.0 - mu * 2.0 * np.array([0.3, 0.8])
+        assert rho.min() < 0
+        start = ReferenceState(w_bar=model.w_star + np.array([1.0, -2.0]))
+        self.check(start, perron, model, model.w_star + 1e-3, 12)
 
 
 class TestReferenceInit:
