@@ -14,8 +14,7 @@ from .model import (AssumptionConstants, LinearModel, assumption_constants,
                     check_network_observability, limit_point, network_hessian,
                     noise_profile)
 from .numerics import (lyapunov_quadrature_oracle, matrix_exponential,
-                       solve_lyapunov_continuous, solve_lyapunov_discrete,
-                       spectral_radius)
+                       solve_lyapunov_continuous, spectral_radius)
 from .policy import (CombinationPolicy, PerronData, assemble, build_hastings,
                      build_metropolis, build_perron, build_uniform_averaging,
                      compute_p, is_primitive, perron_vector, policy_to_json,

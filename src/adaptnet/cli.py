@@ -105,17 +105,17 @@ def _build_policy(spec: dict, topo: topology_mod.Topology,
     return policy_mod.assemble(kind, a, support=topo)
 
 
-def build_experiment(cfg: dict):
-    """Resolve a config dict into (model, policy, perron, sim config)."""
+def build_experiment(cfg: dict) -> sim_mod.SimConfig:
+    """Resolve a config dict into the experiment: a ``SimConfig`` whose
+    ``model``, ``policy`` and ``perron`` the reports read and which
+    ``sim.run`` steps."""
     try:
         topo = _build_topology(cfg["topology"])
         model = _build_model(cfg["model"], topo.n)
-        mus = np.broadcast_to(np.asarray(cfg["mu"], dtype=float),
-                              (topo.n,)).copy()
+        mus = np.asarray(cfg["mu"], dtype=float)
         policy = _build_policy(cfg.get("policy", {}), topo, model,
                                float(mus.max()))
-        perron = policy_mod.build_perron(policy, mus)
-        sim_config = sim_mod.SimConfig(
+        return sim_mod.SimConfig(
             trials=int(cfg.get("trials", 100)),
             iters=int(cfg.get("iters", 10_000)),
             seed=int(cfg.get("seed", 0)),
@@ -127,10 +127,10 @@ def build_experiment(cfg: dict):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    return model, policy, perron, sim_config
 
 
-def theory_block(cfg: dict, experiment) -> tuple[dict, dict]:
+def theory_block(cfg: dict,
+                 experiment: sim_mod.SimConfig) -> tuple[dict, dict]:
     """(report of the simulated topology, theory block) for a config whose
     experiment is already built.
 
@@ -138,11 +138,11 @@ def theory_block(cfg: dict, experiment) -> tuple[dict, dict]:
     each distinct topology is resolved once, and a variant equal to the
     simulated topology reuses its report.
     """
-    def report(model, policy, perron, _):
+    def report(exp):
         return theory_mod.report_to_json(
-            theory_mod.build_report(model, policy, perron))
+            theory_mod.build_report(exp.model, exp.policy, exp.perron))
 
-    own = report(*experiment)
+    own = report(experiment)
     variants = cfg.get("compare_topologies")
     if not variants:
         return own, own
@@ -151,7 +151,7 @@ def theory_block(cfg: dict, experiment) -> tuple[dict, dict]:
     for variant in variants:
         key = json.dumps(variant, sort_keys=True)
         if key not in reports:
-            reports[key] = report(*build_experiment(dict(cfg, topology=variant)))
+            reports[key] = report(build_experiment(dict(cfg, topology=variant)))
         blocks.append({"topology": variant, "theory": reports[key]})
     msds = [b["theory"]["msd_first_order"] for b in blocks]
     return own, {
@@ -206,12 +206,11 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    _, policy, perron, sim_config = experiment
-    if _unstable(cfg, perron.mu_max, own):
+    if _unstable(cfg, experiment.perron.mu_max, own):
         return 2
 
     try:
-        curves = sim_mod.run(sim_config)
+        curves = sim_mod.run(experiment)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
@@ -222,7 +221,8 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
     (out / "theory.json").write_text(_dump(theory))
     report = {
         "config": cfg,
-        "policy": policy_mod.policy_to_json(policy, perron),
+        "policy": policy_mod.policy_to_json(experiment.policy,
+                                            experiment.perron),
         "theory": theory,
         "summary": sim_mod.run_summary(curves, own),
     }
@@ -240,7 +240,7 @@ def cmd_theory(config_path: str) -> int:
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    if _unstable(cfg, experiment[2].mu_max, own):
+    if _unstable(cfg, experiment.perron.mu_max, own):
         return 2
     sys.stdout.write(_dump(block))
     return 0

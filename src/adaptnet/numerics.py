@@ -165,34 +165,3 @@ def lyapunov_quadrature_oracle(hc, sigma, t_max: float | None = None,
         total += weight * term
     total *= h / 3.0
     return 0.5 * (total + total.T)
-
-
-def solve_lyapunov_discrete(bc, q) -> np.ndarray:
-    """Unique Pi with Pi = B Pi B^T + Q for spectral radius rho(B) < 1.
-
-    Solved as (I - B (x) B) vec(Pi) = vec(Q); symmetrized, residual-checked.
-    """
-    bc = _square(bc)
-    q = _check_weighting(_square(q))
-    if q.shape != bc.shape:
-        raise ValueError("dimension mismatch between matrices")
-    rho = spectral_radius(bc)
-    if rho >= 1.0:
-        raise StabilityError(
-            f"spectral radius {rho:.6f} is not below one", extreme=rho
-        )
-    n = bc.shape[0]
-    k = np.eye(n * n) - np.kron(bc, bc)
-    try:
-        pi = _unvec(np.linalg.solve(k, _vec(q)), n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"vectorized discrete system is singular: {exc}")
-    pi = 0.5 * (pi + pi.T)
-    q_norm = np.linalg.norm(q, "fro")
-    residual = np.linalg.norm(pi - bc @ pi @ bc.T - q, "fro")
-    if residual > _RESIDUAL_REL * max(q_norm, 1e-300):
-        raise NumericalError(
-            f"discrete Lyapunov residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_REL:.0e} * ||Q||_F"
-        )
-    return pi

@@ -13,7 +13,7 @@ determines the network's limit point and steady-state error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,9 @@ PRESETS = ("consensus", "atc", "cta")
 
 @dataclass
 class CombinationPolicy:
-    """Immutable triple of left-stochastic matrices plus their product."""
+    """Immutable triple of left-stochastic matrices plus their product and
+    its Perron vector ``theta``, solved once here; a non-primitive product
+    raises ``StructureError``."""
 
     kind: str
     a1: np.ndarray
@@ -36,9 +38,11 @@ class CombinationPolicy:
     a2: np.ndarray
     a: np.ndarray
     support: Topology
+    theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for m in (self.a1, self.a0, self.a2, self.a):
+        self.theta = perron_vector(self.a)
+        for m in (self.a1, self.a0, self.a2, self.a, self.theta):
             m.setflags(write=False)
 
 
@@ -141,7 +145,7 @@ def compute_p(a2: np.ndarray, theta: np.ndarray, mus) -> PerronData:
 
 def build_perron(policy: CombinationPolicy, mus) -> PerronData:
     """Perron data for an assembled policy and a step-size profile."""
-    return compute_p(policy.a2, perron_vector(policy.a), mus)
+    return compute_p(policy.a2, policy.theta, mus)
 
 
 def build_hastings(topology: Topology, target) -> np.ndarray:
@@ -216,7 +220,8 @@ def assemble(kind: str, a: np.ndarray | None = None, *,
     """Build a policy from a preset (consensus/atc/cta) or a custom triple.
 
     Presets place the single matrix ``a`` per the table in the module
-    docstring.  The product A1 A0 A2 must be primitive on the support.
+    docstring.  The product A1 A0 A2 must be primitive on the support;
+    the policy's Perron solve checks it.
     """
     eye = np.eye(support.n)
     if kind in PRESETS:
@@ -237,11 +242,9 @@ def assemble(kind: str, a: np.ndarray | None = None, *,
         )
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    product = triple[0] @ triple[1] @ triple[2]
-    if not is_primitive(product):
-        raise StructureError("product A1 A0 A2 is not primitive")
     return CombinationPolicy(kind=kind, a1=triple[0], a0=triple[1],
-                             a2=triple[2], a=product, support=support)
+                             a2=triple[2], a=triple[0] @ triple[1] @ triple[2],
+                             support=support)
 
 
 def policy_to_json(policy: CombinationPolicy, perron: PerronData) -> dict:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError
 from .model import assumption_constants, limit_point
-from .policy import CombinationPolicy, build_perron
+from .policy import CombinationPolicy, PerronData, build_perron
 from .strategy import (centralized_update, distributed_update,
                        reference_error_curve, reference_init,
                        transposed_combiners)
@@ -91,13 +91,17 @@ def trial_seed(seed: int, trial: int, salt: int = 0) -> int:
     return _splitmix64((seed ^ (trial * _GOLDEN) ^ salt) & _MASK64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo experiment description.
+    """Monte Carlo experiment description, frozen so that its derived
+    Perron data cannot go stale.
 
+    mus: the step sizes, one per agent or one scalar for all.
     paired_streams: when True the centralized recursion consumes the same
     samples as the distributed one (variance-reduced comparisons);
     otherwise it draws its own per-trial streams.
+    perron: ``build_perron(policy, mus)``, built once here; ``run`` and the
+    CLI's reports read it.
     """
 
     trials: int
@@ -108,6 +112,7 @@ class SimConfig:
     mus: object
     steady_window: float = 0.1
     paired_streams: bool = False
+    perron: PerronData = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -116,6 +121,7 @@ class SimConfig:
             raise ValueError("need at least 10 iterations")
         if not 0.0 < self.steady_window <= 0.5:
             raise ValueError("steady_window must lie in (0, 0.5]")
+        object.__setattr__(self, "perron", build_perron(self.policy, self.mus))
 
 
 @dataclass
@@ -259,9 +265,8 @@ def run(config: SimConfig) -> LearningCurves:
             f"{config.trials} trials need {need / 2**30:.1f} GiB of block "
             f"buffers, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    mus = np.broadcast_to(np.asarray(config.mus, dtype=float), (n,)).copy()
-    perron = build_perron(policy, mus)
-    theta, p, mu_max = perron.theta, perron.p, perron.mu_max
+    perron = config.perron
+    theta, p, mus, mu_max = perron.theta, perron.p, perron.mus, perron.mu_max
     w_star = limit_point(model, p)
 
     bound = stable_step_bound(assumption_constants(model, p), p)
@@ -451,7 +456,8 @@ def decomposition_diagnostics(curves: LearningCurves,
     }
     if halved is not None:
         h_msd, _ = halved.steady_state()
-        h_ratio = float(halved.steady_offset().mean() / h_msd.mean())
+        h_ratio = float(halved.steady_offset().mean() / h_msd.mean()) \
+            if h_msd.mean() > 0 else 0.0
         report["mu_halving_response"] = {
             "ratio_at_mu": network_ratio,
             "ratio_at_half_mu": h_ratio,

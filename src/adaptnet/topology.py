@@ -94,14 +94,13 @@ def ring(n: int) -> Topology:
     return from_edges(n, [(k, (k + 1) % n) for k in range(n)] if n > 1 else [])
 
 
-def random_geometric(n: int, radius: float, seed: int,
-                     max_retries: int = _MAX_RETRIES) -> Topology:
+def random_geometric(n: int, radius: float, seed: int) -> Topology:
     """Random geometric graph on the unit square.
 
     Agents are placed uniformly at random by ``numpy.random.default_rng(seed)``
     (one ``rng.random((n, 2))`` call per attempt) and joined whenever their
     Euclidean distance is at most ``radius``.  Disconnected placements are
-    re-drawn from the same generator, up to ``max_retries`` attempts.
+    re-drawn from the same generator, up to 100 (``_MAX_RETRIES``) attempts.
     """
     if n < 1:
         raise ValueError(f"agent count must be >= 1, got {n}")
@@ -109,7 +108,7 @@ def random_geometric(n: int, radius: float, seed: int,
         raise ValueError(f"radius must be positive, got {radius}")
     # radius >= sqrt(2) spans the unit square and yields a complete graph
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         pos = rng.random((n, 2))
         dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         topo = from_edges(
@@ -119,7 +118,7 @@ def random_geometric(n: int, radius: float, seed: int,
             return topo
     raise ConnectivityError(
         f"no connected placement found for n={n}, radius={radius} "
-        f"after {max_retries} attempts"
+        f"after {_MAX_RETRIES} attempts"
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from adaptnet import policy as policy_mod
 from adaptnet.cli import main
 
 TINY_CONFIG = {
@@ -91,6 +92,24 @@ class TestRun:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "theory"])
+def test_perron_vector_is_solved_once(tmp_path, monkeypatch, capsys, command):
+    calls = {"perron_vector": 0, "is_primitive": 0}
+    for name in calls:
+        real = getattr(policy_mod, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(policy_mod, name, spy)
+    argv = [command, "--config", str(write_config(tmp_path, TINY_CONFIG))]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert calls == {"perron_vector": 1, "is_primitive": 1}
 
 
 class TestCompareTopologies:

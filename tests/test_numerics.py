@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from adaptnet import (lyapunov_quadrature_oracle, matrix_exponential,
-                      solve_lyapunov_continuous, solve_lyapunov_discrete,
-                      spectral_radius)
+                      solve_lyapunov_continuous, spectral_radius)
 from adaptnet.errors import AccuracyError, StabilityError
 
 
@@ -134,40 +133,3 @@ class TestQuadratureOracle:
     def test_odd_step_count_rejected(self):
         with pytest.raises(ValueError):
             lyapunov_quadrature_oracle(np.eye(2), np.eye(2), steps=401)
-
-
-class TestDiscreteLyapunov:
-    def test_zero_transition_returns_q(self):
-        q = np.diag([1.0, 2.0])
-        assert np.allclose(solve_lyapunov_discrete(np.zeros((2, 2)), q), q,
-                           atol=1e-14)
-
-    def test_scalar_geometric_series(self):
-        # pi = pi/4 + 1  =>  pi = 4/3
-        pi = solve_lyapunov_discrete(np.array([[0.5]]), np.array([[1.0]]))
-        assert np.allclose(pi, 4.0 / 3.0, atol=1e-14)
-
-    def test_small_step_matches_closed_form(self):
-        mu, h = 1e-3, 2.0
-        b = (1.0 - mu * h) * np.eye(2)
-        q = mu ** 2 * np.eye(2)
-        pi = solve_lyapunov_discrete(b, q)
-        exact = mu ** 2 / (1.0 - (1.0 - mu * h) ** 2)
-        assert np.allclose(pi, exact * np.eye(2), rtol=1e-12)
-        assert exact == pytest.approx(mu / (2 * h), rel=2 * mu)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(StabilityError) as err:
-            solve_lyapunov_discrete(np.eye(2), np.eye(2))
-        assert err.value.extreme >= 1.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_residual_on_random_contractions(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        b = rng.standard_normal((n, n))
-        b *= 0.9 / max(spectral_radius(b), 1e-12)
-        q = random_psd(rng, n)
-        pi = solve_lyapunov_discrete(b, q)
-        residual = np.linalg.norm(pi - b @ pi @ b.T - q, "fro")
-        assert residual <= 1e-10 * np.linalg.norm(q, "fro")

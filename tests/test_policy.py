@@ -240,6 +240,13 @@ class TestAssemble:
         pol = assemble("cta", a, support=topo)
         assert np.allclose(pol.a1, a)
 
+    def test_theta_is_the_read_only_perron_vector(self):
+        topo = from_edges(3, [(0, 1), (1, 2)])
+        pol = assemble("cta", build_uniform_averaging(topo), support=topo)
+        assert np.array_equal(pol.theta, perron_vector(pol.a))
+        with pytest.raises(ValueError, match="read-only"):
+            pol.theta[0] = 1.0
+
     def test_custom_non_primitive_product_rejected(self):
         topo = from_edges(2, [(0, 1)])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])

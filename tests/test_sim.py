@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import itertools
+import json
 import math
 import sys
 import threading
@@ -10,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from adaptnet import (LinearModel, SimConfig, assemble, build_metropolis,
-                      build_perron, decomposition_diagnostics, export_csv,
+from adaptnet import (LinearModel, PerronData, SimConfig, assemble,
+                      build_metropolis, build_perron,
+                      decomposition_diagnostics, export_csv,
                       fit_geometric_rate, network_hessian, noise_profile,
                       predict_msd_identity, random_geometric, ring, run,
                       run_summary, steady_state_estimate)
@@ -423,6 +426,24 @@ class TestDecomposition:
         assert set(report) == {"per_agent", "network", "mu_halving_response"}
         assert report["mu_halving_response"]["response"] is not None
 
+    def test_zero_msd_at_half_step_gives_zero_ratio(self):
+        # w* = 0 without noise: every iterate stays at zero, so both steady
+        # MSDs are 0 and the ratios must not divide by them
+        topo = ring(3)
+        policy = assemble("atc", build_metropolis(topo), support=topo)
+        model = LinearModel(w_star=np.zeros(2),
+                            r_u=np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
+                            sigma_n2=np.zeros(3))
+        at_mu, at_half = (run(SimConfig(trials=2, iters=20, seed=1,
+                                        policy=policy, model=model, mus=mu))
+                          for mu in (2e-3, 1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = decomposition_diagnostics(at_mu, at_half)
+        assert report["mu_halving_response"] == {
+            "ratio_at_mu": 0.0, "ratio_at_half_mu": 0.0, "response": None}
+        json.dumps(report, allow_nan=False)
+
     def test_offsets_small_for_both_orderings_on_shared_streams(self):
         # consensus and adapt-then-combine, same seed hence same samples:
         # both centroid offsets stay far below the MSD and shrink with mu.
@@ -498,3 +519,12 @@ class TestConfigValidation:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    def test_perron_data_is_derived_and_frozen(self):
+        cfg = small_config(mu=[1e-3, 2e-3, 4e-3], kind="cta")
+        want = build_perron(cfg.policy, cfg.mus)
+        for f in dataclasses.fields(PerronData):
+            assert np.array_equal(getattr(cfg.perron, f.name),
+                                  getattr(want, f.name)), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.iters = 20

@@ -72,7 +72,7 @@ def test_geometric_seed42_matches_independent_regeneration():
 
 def test_geometric_connectivity_failure_names_parameters():
     with pytest.raises(ConnectivityError, match=r"n=40.*radius=0.01"):
-        random_geometric(40, 0.01, 0, max_retries=5)
+        random_geometric(40, 0.01, 0)
 
 
 def test_is_connected_two_isolated_agents():
