@@ -20,8 +20,7 @@ from .policy import (CombinationPolicy, PerronData, assemble, build_hastings,
                      compute_p, is_primitive, perron_vector, policy_to_json,
                      second_eigenvalue_magnitude)
 from .sim import (LearningCurves, SimConfig, decomposition_diagnostics,
-                  export_csv, fit_geometric_rate, run, run_summary,
-                  steady_state_estimate)
+                  export_csv, fit_geometric_rate, run, run_summary)
 from .strategy import (CentralState, NetworkState, ReferenceState,
                        reference_error_curve, reference_init,
                        step_centralized, step_distributed, step_reference)

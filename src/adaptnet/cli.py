@@ -26,7 +26,8 @@ from . import policy as policy_mod
 from . import sim as sim_mod
 from . import theory as theory_mod
 from . import topology as topology_mod
-from .errors import AdaptNetError, ConfigError, DivergenceError
+from .errors import (AdaptNetError, ConfigError, ContractError,
+                     DivergenceError)
 
 PRESET_NAMES = ("fig4", "partial_obs", "topology_invariance")
 
@@ -214,6 +215,9 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
+    except ContractError as exc:  # e.g. block buffers past physical memory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,10 @@
 Every agent observes scalar measurements d = u w* + n with its own
 regressor covariance R_u,k and noise power sigma_n,k^2; all agents share
 the unknown parameter vector w*.  The model exposes everything the
-strategy and theory layers need: samples, stochastic and true gradients,
-gradient-noise covariance, Hessians, the constants appearing in the
-step-size bound, and the network limit point.
+strategy and theory layers need, every form covering the whole network:
+samples, stochastic and true gradients, the gradient-noise covariance
+blocks, Hessians, the constants appearing in the step-size bound, and the
+network limit point, which is w* itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ModelError, ObservabilityError
 
 _SYM_TOL = 1e-12
-_ROOT_TOL = 1e-10  # limit-point residual, relative to max(1, ||w*||)
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,6 @@ class LinearModel:
         return self.n_agents * (self.m + 1)
 
     # --- sampling --------------------------------------------------------
-    def sample(self, k: int, rng) -> tuple[np.ndarray, float]:
-        """One (regressor, measurement) pair for agent k."""
-        u = self._factors[k] @ rng.standard_normal(self.m)
-        d = float(u @ self.w_star
-                  + np.sqrt(self.sigma_n2[k]) * rng.standard_normal())
-        return u, d
-
     def regressors_from_raw(self, raw: np.ndarray):
         """Map raw standard normals (*steps, T, N*M + N) to u
         (*steps, N, M, T) and d (*steps, N, T): any leading batch axes
@@ -172,11 +165,6 @@ class LinearModel:
         return self.regressors_from_raw(raw)
 
     # --- gradients -------------------------------------------------------
-    def stochastic_gradient(self, k: int, w: np.ndarray, sample) -> np.ndarray:
-        """Instantaneous gradient -2 u^T (d - u w) from one sample."""
-        u, d = sample
-        return -2.0 * u * (d - u @ np.asarray(w, dtype=float))
-
     def stochastic_gradient_network(self, x, u, d, out=None) -> np.ndarray:
         """Per-agent instantaneous gradients, agent axis first.
 
@@ -188,47 +176,20 @@ class LinearModel:
         resid *= -2.0
         return np.multiply(u, resid[:, None], out=out)
 
-    def true_gradient(self, k: int, w) -> np.ndarray:
-        """Exact gradient 2 R_u,k (w - w*)."""
-        return 2.0 * self.r_u[k] @ (np.asarray(w, dtype=float) - self.w_star)
-
     def true_gradient_all(self, w) -> np.ndarray:
-        """Stacked exact gradients, shape (N, M)."""
+        """Stacked exact gradients 2 R_u,k (w - w*), shape (N, M)."""
         delta = np.asarray(w, dtype=float) - self.w_star
         return 2.0 * np.einsum("kij,j->ki", self.r_u, delta)
 
     # --- second-order quantities ------------------------------------------
-    def gradient_noise_covariance(self, k: int) -> np.ndarray:
-        """Covariance of the gradient noise at w*: 4 sigma_n,k^2 R_u,k."""
-        return 4.0 * self.sigma_n2[k] * self.r_u[k]
-
     def rv_blocks(self) -> np.ndarray:
-        """Block-diagonal network gradient-noise covariance, as (N, M, M)."""
+        """Block-diagonal network gradient-noise covariance at w*, as
+        (N, M, M): block k is 4 sigma_n,k^2 R_u,k."""
         return 4.0 * self.sigma_n2[:, None, None] * self.r_u
 
     def hessian(self, k: int) -> np.ndarray:
         """Gradient Jacobian at the limit point: 2 R_u,k."""
         return 2.0 * self.r_u[k]
-
-    # --- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "M": self.m,
-            "w_star": self.w_star.tolist(),
-            "agents": [
-                {"R_u": self.r_u[k].tolist(), "sigma_n2": float(self.sigma_n2[k])}
-                for k in range(self.n_agents)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LinearModel":
-        agents = obj["agents"]
-        return cls(
-            w_star=np.asarray(obj["w_star"], dtype=float),
-            r_u=np.stack([np.asarray(a["R_u"], dtype=float) for a in agents]),
-            sigma_n2=np.asarray([a["sigma_n2"] for a in agents], dtype=float),
-        )
 
 
 def network_hessian(model, p) -> np.ndarray:
@@ -287,27 +248,11 @@ def assumption_constants(model, p) -> AssumptionConstants:
 
 
 def limit_point(model, p) -> np.ndarray:
-    """Solve sum_k p_k s_k(w) = 0 for the network limit point.
+    """The network limit point, the root of sum_k p_k s_k(w) = 0.
 
-    The weighted gradient sum of quadratic costs is affine in w with the
-    network Hessian H_c as its Jacobian, so one solve gives the root:
-    w = 0 - H_c^-1 sum_k p_k s_k(0).  The residual of the solve is checked.
+    Every agent's gradient 2 R_u,k (w - w*) vanishes at the shared w*, so
+    w* is a root for every p, and the only one when H_c = sum_k p_k 2 R_u,k
+    is positive definite; ``ObservabilityError`` is raised when it is not.
     """
-    p = np.asarray(p, dtype=float)
-    hc, _ = _observable_hessian(model, p)
-
-    def weighted_gradient(x):
-        return np.einsum(
-            "k,ki->i", p,
-            np.stack([model.true_gradient(k, x) for k in range(model.n_agents)]),
-        )
-
-    w = np.zeros(model.m)
-    w = w - np.linalg.solve(hc, weighted_gradient(w))
-    residual = float(np.linalg.norm(weighted_gradient(w)))
-    if residual > _ROOT_TOL * max(1.0, float(np.linalg.norm(model.w_star))):
-        raise ObservabilityError(
-            f"limit-point solve left residual {residual:.3e}; the weighted "
-            "Hessian sum is too ill-conditioned"
-        )
-    return w
+    _observable_hessian(model, p)
+    return model.w_star.copy()

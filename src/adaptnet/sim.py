@@ -2,7 +2,8 @@
 
 Runs the distributed, centralized, and reference recursions side by side
 over many seeded trials and produces per-agent mean-square-deviation
-curves, steady-state estimates with trial-level standard errors, fitted
+curves, measured against the network limit point w*, steady-state
+estimates with trial-level standard errors (``LearningCurves``), fitted
 convergence rates, and centroid-decomposition diagnostics.
 
 Trials are evolved in lockstep, agent-major: the iterates are one
@@ -96,7 +97,9 @@ class SimConfig:
     """Monte Carlo experiment description, frozen so that its derived
     Perron data cannot go stale.
 
-    mus: the step sizes, one per agent or one scalar for all.
+    mus: the step sizes, one per agent or one scalar for all; stored as
+    ``perron.mus``, a read-only (N,) copy, so that a later change to the
+    caller's array changes neither.
     paired_streams: when True the centralized recursion consumes the same
     samples as the distributed one (variance-reduced comparisons);
     otherwise it draws its own per-trial streams.
@@ -121,7 +124,10 @@ class SimConfig:
             raise ValueError("need at least 10 iterations")
         if not 0.0 < self.steady_window <= 0.5:
             raise ValueError("steady_window must lie in (0, 0.5]")
-        object.__setattr__(self, "perron", build_perron(self.policy, self.mus))
+        perron = build_perron(self.policy, self.mus)
+        perron.mus.setflags(write=False)
+        object.__setattr__(self, "perron", perron)
+        object.__setattr__(self, "mus", perron.mus)
 
 
 @dataclass
@@ -297,8 +303,7 @@ def run(config: SimConfig) -> LearningCurves:
         # the deterministic reference curve, shared by every trial (a
         # worker draws the first chunk meanwhile)
         ref_err = reference_error_curve(
-            reference_init(np.zeros((n, m)), theta), perron, model, w_star,
-            iters)
+            reference_init(np.zeros((n, m)), theta), perron, model, iters)
 
         full_start, half_start = _window_starts(iters, config.steady_window)
         window, half = iters - full_start, iters - half_start
@@ -388,21 +393,6 @@ def run(config: SimConfig) -> LearningCurves:
         _trial_cent=acc[n] / window,
         _trial_cent_half=acc_half[n] / half,
     )
-
-
-def steady_state_estimate(series, window: float = 0.1):
-    """Mean of the final ceil(window * len) points and its standard error.
-
-    The standard error here comes from the dispersion of the window points
-    (a proxy; ``LearningCurves.steady_state`` gives the trial-level one).
-    """
-    series = np.asarray(series, dtype=float)
-    if not 0.0 < window <= 0.5:
-        raise ValueError("window must lie in (0, 0.5]")
-    tail = series[_window_starts(series.size, window)[0]:]
-    if tail.size < 2:
-        return float(tail.mean()), 0.0
-    return float(tail.mean()), float(tail.std(ddof=1) / math.sqrt(tail.size))
 
 
 def fit_geometric_rate(series, i_start: int, i_end: int) -> float:

@@ -16,7 +16,8 @@ and ``centralized_update``, which ``sim.run`` calls too.  The kernels
 take the agent axis first and any trial axes trailing: the step
 functions pass states (N, M) and (M,), ``sim.run`` passes (N, M, T) and
 (M, T), so every combine is one (N, N) @ (N, M*T) matrix product.
-The reference recursion is affine with the symmetric Jacobian H_c, so
+The reference recursion is affine with the symmetric Jacobian H_c and
+contracts towards w*, the network limit point, so
 ``reference_error_curve`` gives its whole error curve in closed form;
 ``step_reference`` is the one-step form it is tested against.
 """
@@ -148,22 +149,22 @@ def step_reference(state: ReferenceState, perron: PerronData,
 
 
 def reference_error_curve(state: ReferenceState, perron: PerronData, model,
-                          target, steps: int) -> np.ndarray:
-    """Squared distances ||target - w_i||^2, i = 1..steps, of the
-    reference recursion started from ``state``, in closed form.
+                          steps: int) -> np.ndarray:
+    """Squared distances ||w* - w_i||^2, i = 1..steps, of the reference
+    recursion started from ``state``, in closed form.
 
-    The recursion contracts towards the model's w* by the symmetric
-    H_c = sum_k p_k 2 R_u,k: w_i - w* = (I - mu_max H_c)^i (w_0 - w*).
-    With H_c = V diag(lam) V^T, rho = 1 - mu_max lam, b = V^T (target - w*)
-    and c = V^T (w_0 - w*), the distance is sum_j (b_j - rho_j^i c_j)^2.
-    Past the stability bound the powers overflow to inf, without a warning.
+    The recursion contracts towards the model's w*, the network limit
+    point, by the symmetric H_c = sum_k p_k 2 R_u,k:
+    w_i - w* = (I - mu_max H_c)^i (w_0 - w*).  With H_c = V diag(lam) V^T,
+    rho = 1 - mu_max lam and c = V^T (w_0 - w*), the distance is
+    sum_j (rho_j^i c_j)^2.  Past the stability bound the powers overflow
+    to inf, without a warning.
     """
     lam, v = np.linalg.eigh(network_hessian(model, perron.p))
     rho = 1.0 - perron.mu_max * lam
-    b = v.T @ (np.asarray(target, dtype=float) - model.w_star)
     c = v.T @ (np.asarray(state.w_bar, dtype=float) - model.w_star)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = b - rho ** np.arange(1, steps + 1)[:, None] * c
+        gap = rho ** np.arange(1, steps + 1)[:, None] * c
         return np.einsum("ij,ij->i", gap, gap)
 
 

@@ -67,14 +67,6 @@ class Topology:
     def is_connected(self) -> bool:
         return is_connected(self)
 
-    def to_json(self) -> dict:
-        """JSON form ``{"n": ..., "edges": [[i, j], ...]}``; self-loops implicit."""
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Topology":
-        return from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-
 
 def from_edges(n: int, edges) -> Topology:
     """Build a topology from an undirected edge list; self-loops are added."""

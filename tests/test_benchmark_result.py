@@ -1,0 +1,32 @@
+"""The benchmark's traced result line, as a benchmark comparison reads it.
+
+One short traced run of the canonical_atc workload: its last stdout line
+must be strict JSON (no NaN or Infinity), report a correct run with no
+failed operation, and carry exactly the per-layer metrics that
+``BENCHMARK.json`` declares.  A public function renamed or deleted from
+under a declared span shows here as a missing metric.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite constant {constant} in the result line")
+
+
+def test_traced_canonical_run_reports_every_declared_metric():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "canonical_atc",
+         "--trace", "1", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}

@@ -84,6 +84,18 @@ class TestRun:
         assert code == 2
         assert "bound" in capsys.readouterr().err
 
+    def test_block_buffers_past_memory_exit_3(self, tmp_path, capsys):
+        # sim.run refuses the trial count before it allocates anything
+        path = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out),
+                     "--trials", str(10**11)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "GiB of block buffers" in err
+        assert not out.exists()
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         cfg = dict(TINY_CONFIG, mu=0.9, allow_unstable=True, iters=400)
         path = write_config(tmp_path, cfg)

@@ -54,20 +54,21 @@ class TestValidation:
 
     def test_singular_psd_covariance_accepted(self):
         model = complementary_pair()
-        u, d = model.sample(0, np.random.default_rng(0))
-        assert u[1] == 0.0  # rank-1 regressor lives on the first axis
+        u, d = model.sample_network(np.random.default_rng(0))
+        # each rank-1 regressor lives on its own axis
+        assert u[0, 1] == 0.0 and u[1, 0] == 0.0
 
 
 class TestSampling:
     def test_degenerate_model_returns_zeros(self):
         model = make_model(r_u=[np.zeros((2, 2))], sigma_n2=[0.0], n=1)
-        u, d = model.sample(0, np.random.default_rng(1))
-        assert np.array_equal(u, [0.0, 0.0]) and d == 0.0
+        u, d = model.sample_network(np.random.default_rng(1))
+        assert np.array_equal(u, [[0.0, 0.0]]) and np.array_equal(d, [0.0])
 
     def test_noiseless_measurement_is_exact(self):
         model = make_model(sigma_n2=[0.0, 0.0])
-        u, d = model.sample(0, np.random.default_rng(2))
-        assert d == pytest.approx(u @ model.w_star, abs=1e-15)
+        u, d = model.sample_network(np.random.default_rng(2))
+        assert np.abs(d - u @ model.w_star).max() <= 1e-15
 
     def test_monte_carlo_moments(self):
         model = make_model(sigma_n2=[0.1, 0.1])
@@ -105,15 +106,17 @@ class TestSampling:
 class TestGradients:
     def test_stochastic_gradient_zero_at_solution_noiseless(self):
         model = make_model(sigma_n2=[0.0, 0.0])
-        u, d = model.sample(0, np.random.default_rng(4))
-        grad = model.stochastic_gradient(0, model.w_star, (u, d))
-        assert np.abs(grad).max() < 1e-12
+        u, d = model.sample_network(np.random.default_rng(4))
+        grad = model.stochastic_gradient_network(model.w_star[None], u, d)
+        assert grad.shape == (2, 2) and np.abs(grad).max() < 1e-12
 
     def test_stochastic_gradient_hand_value(self):
+        # -2 u_k^T (d_k - u_k w) at w = 0, agent by agent
         model = make_model()
-        grad = model.stochastic_gradient(0, np.zeros(2),
-                                         (np.array([1.0, 0.0]), 1.0))
-        assert np.allclose(grad, [-2.0, 0.0])
+        u = np.array([[1.0, 0.0], [0.0, 2.0]])
+        grad = model.stochastic_gradient_network(np.zeros((1, 2)), u,
+                                                 np.array([1.0, 3.0]))
+        assert np.allclose(grad, [[-2.0, 0.0], [0.0, -12.0]])
 
     def test_law_of_large_numbers(self):
         model = make_model(sigma_n2=[0.05, 0.05])
@@ -123,22 +126,23 @@ class TestGradients:
         grads = model.stochastic_gradient_network(w[:, None], u, d)
         mean = grads[0].mean(axis=-1)
         stderr = grads[0].std(axis=-1) / np.sqrt(u.shape[-1])
-        truth = model.true_gradient(0, w)
+        truth = model.true_gradient_all(w)[0]
         assert (np.abs(mean - truth) < 3 * stderr + 1e-12).all()
 
     def test_true_gradient_zero_at_solution(self):
         model = make_model()
-        assert np.array_equal(model.true_gradient(0, model.w_star), [0.0, 0.0])
+        assert np.array_equal(model.true_gradient_all(model.w_star),
+                              np.zeros((2, 2)))
 
     def test_true_gradient_identity_covariance(self):
         model = make_model()
         w = model.w_star + np.array([1.0, 0.0])
-        assert np.allclose(model.true_gradient(0, w), [2.0, 0.0])
+        assert np.allclose(model.true_gradient_all(w), [[2.0, 0.0], [2.0, 0.0]])
 
     def test_true_gradient_diagonal_covariance(self):
         model = make_model(r_u=[np.diag([1.0, 3.0]), np.eye(2)])
         w = model.w_star + np.array([1.0, 1.0])
-        assert np.allclose(model.true_gradient(0, w), [2.0, 6.0])
+        assert np.allclose(model.true_gradient_all(w), [[2.0, 6.0], [2.0, 2.0]])
 
     def test_true_gradient_matches_finite_differences(self):
         # J(w) = sigma^2 + (w - w*)^T R (w - w*), differentiated centrally
@@ -154,21 +158,19 @@ class TestGradients:
             (cost(w + eps * e) - cost(w - eps * e)) / (2 * eps)
             for e in np.eye(2)
         ])
-        truth = model.true_gradient(0, w)
+        truth = model.true_gradient_all(w)[0]
         assert np.abs(fd - truth).max() < 1e-6 * max(1.0, np.abs(truth).max())
 
 
 class TestNoiseCovariance:
     def test_zero_noise(self):
         model = make_model(sigma_n2=[0.0, 0.0])
-        assert np.array_equal(model.gradient_noise_covariance(0),
-                              np.zeros((2, 2)))
+        assert np.array_equal(model.rv_blocks()[0], np.zeros((2, 2)))
 
     def test_identity_covariance_value(self):
         model = make_model(m=10, n=1, r_u=[np.eye(10)], sigma_n2=[0.1],
                            w_star=np.zeros(10))
-        assert np.allclose(model.gradient_noise_covariance(0),
-                           0.4 * np.eye(10))
+        assert np.allclose(model.rv_blocks()[0], 0.4 * np.eye(10))
 
     def test_empirical_covariance_at_solution(self):
         model = make_model(sigma_n2=[0.1, 0.1])
@@ -177,7 +179,7 @@ class TestNoiseCovariance:
         noise = model.stochastic_gradient_network(model.w_star[:, None], u,
                                                   d)[0]
         emp = noise @ noise.T / noise.shape[-1]
-        expected = model.gradient_noise_covariance(0)
+        expected = model.rv_blocks()[0]
         assert np.abs(emp - expected).max() < 0.05 * np.abs(expected).max()
 
 
@@ -288,13 +290,11 @@ class TestAssumptionConstants:
 class TestLimitPoint:
     def test_positive_definite_model(self):
         model = make_model()
-        assert np.allclose(limit_point(model, [0.5, 0.5]), model.w_star,
-                           atol=1e-10)
+        assert np.array_equal(limit_point(model, [0.5, 0.5]), model.w_star)
 
     def test_complementary_pair_recovers_shared_parameter(self):
         model = complementary_pair()
-        assert np.allclose(limit_point(model, [0.5, 0.5]), model.w_star,
-                           atol=1e-9)
+        assert np.array_equal(limit_point(model, [0.5, 0.5]), model.w_star)
 
     def test_singular_network_rejected(self):
         model = make_model(n=1, r_u=[np.diag([1.0, 0.0])], sigma_n2=[0.1])
@@ -313,14 +313,6 @@ class TestUnbiasedness:
             for k in range(2):
                 mean = grads[k].mean(axis=-1)
                 stderr = grads[k].std(axis=-1) / np.sqrt(u.shape[-1])
-                truth = model.true_gradient(k, w)
+                truth = model.true_gradient_all(w)[k]
                 assert (np.abs(mean - truth) < 4 * stderr + 1e-12).all()
 
-
-def test_json_round_trip():
-    model = make_model(r_u=[np.eye(2), np.diag([1.0, 3.0])],
-                       sigma_n2=[0.1, 0.2])
-    clone = LinearModel.from_json(model.to_json())
-    assert np.array_equal(clone.w_star, model.w_star)
-    assert np.array_equal(clone.r_u, model.r_u)
-    assert np.array_equal(clone.sigma_n2, model.sigma_n2)

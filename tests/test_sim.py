@@ -17,7 +17,7 @@ from adaptnet import (LinearModel, PerronData, SimConfig, assemble,
                       decomposition_diagnostics, export_csv,
                       fit_geometric_rate, network_hessian, noise_profile,
                       predict_msd_identity, random_geometric, ring, run,
-                      run_summary, steady_state_estimate)
+                      run_summary)
 from adaptnet import sim
 from adaptnet.errors import ContractError, DivergenceError
 
@@ -39,18 +39,7 @@ def small_config(n=3, m=2, mu=2e-3, sigma=None, trials=50, iters=400,
 
 
 class TestSteadyStateEstimate:
-    def test_constant_series(self):
-        mean, stderr = steady_state_estimate(np.full(100, 3.5), 0.1)
-        assert mean == 3.5 and stderr == 0.0
-
-    def test_short_tail_arithmetic(self):
-        series = np.concatenate([np.zeros(27), [1.0, 1.0, 3.0]])
-        mean, _ = steady_state_estimate(series, 0.1)
-        assert mean == pytest.approx(5.0 / 3.0)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            steady_state_estimate(np.ones(10), 0.7)
+    """``LearningCurves.steady_state``: window means, trial-level errors."""
 
     def test_window_choice_consistency_on_seeded_run(self):
         curves = run(small_config(trials=100, iters=3000))
@@ -73,9 +62,6 @@ def test_steady_windows_share_one_start(iters, window, half):
     assert np.allclose(curves.steady_offset(half),
                        curves.centroid_offset[start:].mean(axis=0),
                        rtol=1e-12, atol=0)
-    for k in range(curves.n_agents):
-        mean, _ = steady_state_estimate(curves.msd[:, k], share)
-        assert mean == pytest.approx(curves.msd[start:, k].mean(), rel=1e-12)
 
 
 class TestFitGeometricRate:
@@ -528,3 +514,14 @@ class TestConfigValidation:
                                   getattr(want, f.name)), f.name
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.iters = 20
+
+    def test_mus_are_a_read_only_copy(self):
+        # a change to the caller's array after construction changes nothing
+        mus = np.full(3, 1e-3)
+        cfg = small_config(mu=mus, trials=2, iters=10)
+        mus[:] = 5e-3
+        assert cfg.mus is cfg.perron.mus
+        assert np.array_equal(cfg.mus, np.full(3, 1e-3))
+        assert run(cfg).mu_max == 1e-3
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.mus[0] = 5e-3

@@ -3,7 +3,7 @@ import pytest
 
 from adaptnet import (CentralState, LinearModel, NetworkState, ReferenceState,
                       SimConfig, assemble, build_hastings, build_metropolis,
-                      build_perron, limit_point, network_hessian,
+                      build_perron, network_hessian,
                       random_geometric, reference_error_curve, reference_init,
                       ring, run, step_centralized, step_distributed,
                       step_reference)
@@ -258,16 +258,16 @@ class TestReferenceErrorCurve:
     """The closed-form curve against the one-step recursion it solves."""
 
     @staticmethod
-    def iterated(state, perron, model, target, steps):
+    def iterated(state, perron, model, steps):
         out = np.empty(steps)
         for i in range(steps):
             state = step_reference(state, perron, model)
-            out[i] = np.sum((target - state.w_bar) ** 2)
+            out[i] = np.sum((model.w_star - state.w_bar) ** 2)
         return out
 
-    def check(self, state, perron, model, target, steps):
-        want = self.iterated(state, perron, model, target, steps)
-        got = reference_error_curve(state, perron, model, target, steps)
+    def check(self, state, perron, model, steps):
+        want = self.iterated(state, perron, model, steps)
+        got = reference_error_curve(state, perron, model, steps)
         assert got.shape == (steps,)
         assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
@@ -287,7 +287,7 @@ class TestReferenceErrorCurve:
         lam = np.linalg.eigvalsh(network_hessian(model, perron.p))
         assert lam.max() > 3 * lam.min()
         self.check(reference_init(np.zeros((n, m)), perron.theta), perron,
-                   model, limit_point(model, perron.p), 300)
+                   model, 300)
 
     @pytest.mark.parametrize("mu", [0.9, 1.3])
     def test_negative_contraction(self, mu):
@@ -300,7 +300,7 @@ class TestReferenceErrorCurve:
         rho = 1.0 - mu * 2.0 * np.array([0.3, 0.8])
         assert rho.min() < 0
         start = ReferenceState(w_bar=model.w_star + np.array([1.0, -2.0]))
-        self.check(start, perron, model, model.w_star + 1e-3, 12)
+        self.check(start, perron, model, 12)
 
 
 class TestReferenceInit:

@@ -107,11 +107,3 @@ def test_validation_rejects_asymmetric_neighbors():
 def test_validation_rejects_missing_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         Topology(2, ((1,), (0, 1)))
-
-
-def test_json_round_trip_excludes_self_loops():
-    t = ring(5)
-    obj = t.to_json()
-    assert obj["n"] == 5
-    assert [0, 0] not in obj["edges"]
-    assert Topology.from_json(obj) == t
