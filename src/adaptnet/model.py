@@ -94,25 +94,24 @@ class LinearModel:
         if self.w_star.ndim != 1:
             raise ModelError("w_star must be one-dimensional")
         m = self.w_star.size
-        if self.r_u.ndim != 3 or self.r_u.shape[1:] != (m, m):
-            raise ModelError("r_u must have shape (N, M, M)")
-        n = self.r_u.shape[0]
-        if self.sigma_n2.shape != (n,):
+        if self.r_u.ndim != 3 or self.r_u.shape[1:] != (m, m) or not len(self.r_u):
+            raise ModelError("r_u must have shape (N, M, M) with N >= 1")
+        if self.sigma_n2.shape != (len(self.r_u),):
             raise ModelError("sigma_n2 must have one entry per agent")
+        for name in ("w_star", "r_u", "sigma_n2"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"{name} has non-finite entries")
         if (self.sigma_n2 < 0).any():
             raise ModelError("noise variances must be nonnegative")
-        for k in range(n):
-            r = self.r_u[k]
-            scale = max(1.0, np.abs(r).max())
-            if np.abs(r - r.T).max() > _SYM_TOL * scale:
-                raise ModelError(f"r_u[{k}] is not symmetric")
-        self._factors = np.stack(
-            [_covariance_factor(self.r_u[k]) for k in range(n)]
-        )
-        eye = np.eye(m)
-        self._identity_factors = all(
-            np.array_equal(self._factors[k], eye) for k in range(n)
-        )
+        tol = _SYM_TOL * np.maximum(abs(self.r_u).max(axis=(1, 2)), 1.0)
+        asym = abs(self.r_u - self.r_u.transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+        if asym.any():
+            raise ModelError(f"r_u[{np.argmax(asym)}] is not symmetric")
+        try:
+            self._factors = np.linalg.cholesky(self.r_u)
+        except np.linalg.LinAlgError:  # a singular or indefinite block
+            self._factors = np.stack([_covariance_factor(r) for r in self.r_u])
+        self._identity_factors = bool((self._factors == np.eye(m)).all())
 
     # --- basic geometry -------------------------------------------------
     @property
@@ -172,7 +171,9 @@ class LinearModel:
         evaluation points, broadcastable to u's shape, so a shared iterate
         (M, *batch) is passed as ``x[None]``.  Writes into ``out`` when given.
         """
-        resid = d - np.einsum("km...,km...->k...", u, np.broadcast_to(x, u.shape))
+        if np.ndim(x) < u.ndim:  # einsum only stretches axes of length 1
+            x = np.broadcast_to(x, u.shape)
+        resid = d - np.einsum("km...,km...->k...", u, x)
         resid *= -2.0
         return np.multiply(u, resid[:, None], out=out)
 
@@ -194,9 +195,7 @@ class LinearModel:
 
 def network_hessian(model, p) -> np.ndarray:
     """Weighted gradient-Jacobian sum sum_k p_k H_k at the limit point."""
-    p = np.asarray(p, dtype=float)
-    h = np.stack([model.hessian(k) for k in range(model.n_agents)])
-    return np.einsum("k,kij->ij", p, h)
+    return np.einsum("k,kij->ij", np.asarray(p, dtype=float), 2.0 * model.r_u)
 
 
 def _observable_hessian(model, p) -> tuple[np.ndarray, float]:
@@ -234,10 +233,7 @@ def assumption_constants(model, p) -> AssumptionConstants:
               on E||R - u^T u||^2 (conservative; feeds the step-size bound).
     sigma_v2: 4 max_k sigma_n,k^2 Tr(R_u,k) = max_k E||2 u^T n||^2.
     """
-    lam_max = max(
-        float(np.linalg.eigvalsh(model.r_u[k]).max())
-        for k in range(model.n_agents)
-    )
+    lam_max = float(np.linalg.eigvalsh(model.r_u).max())
     _, lam_l = _observable_hessian(model, p)
     traces = np.einsum("kii->k", model.r_u)
     sq_traces = np.einsum("kij,kji->k", model.r_u, model.r_u)

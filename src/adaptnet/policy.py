@@ -161,22 +161,19 @@ def build_hastings(topology: Topology, target) -> np.ndarray:
     target = np.asarray(target, dtype=float)
     if target.shape != (topology.n,):
         raise ValueError("target length must equal the agent count")
-    if (target <= 0).any():
-        raise ValueError("target entries must be positive")
+    if not (np.isfinite(target) & (target > 0)).all():
+        raise ValueError("target entries must be positive and finite")
     if not topology.is_connected():
         raise ConnectivityError("Hastings weights need a connected topology")
-    n = topology.n
-    a = np.zeros((n, n))
-    deg = np.array([topology.degree(k) for k in range(n)], dtype=float)
-    for k in range(n):
-        for l in topology.neighbors[k]:
-            if l != k:
-                # target_k^-1 / max(|N_k| target_k^-1, |N_l| target_l^-1),
-                # written through the target ratio so a uniform target
-                # collapses to the Metropolis weights exactly
-                a[l, k] = 1.0 / max(deg[k], deg[l] * (target[k] / target[l]))
-        a[k, k] = 1.0 - a[:, k].sum()
-    return a
+    # built as at[k, l] = a_lk so each diagonal remainder sums one contiguous
+    # row, as a 1-D column sum does; the target ratio keeps Metropolis exact
+    at = topology.adjacency()
+    deg = at.sum(axis=0)
+    np.fill_diagonal(at, 0.0)
+    k, l = np.nonzero(at)
+    at[k, l] = 1.0 / np.maximum(deg[k], deg[l] * (target[k] / target[l]))
+    np.fill_diagonal(at, 1.0 - at.sum(axis=1))
+    return np.ascontiguousarray(at.T)
 
 
 def build_metropolis(topology: Topology) -> np.ndarray:
@@ -186,11 +183,8 @@ def build_metropolis(topology: Topology) -> np.ndarray:
 
 def build_uniform_averaging(topology: Topology) -> np.ndarray:
     """a_lk = 1/|N_k| for l in N_k: left-stochastic, generally not doubly."""
-    n = topology.n
-    a = np.zeros((n, n))
-    for k in range(n):
-        a[list(topology.neighbors[k]), k] = 1.0 / topology.degree(k)
-    return a
+    adj = topology.adjacency()
+    return adj * (1.0 / adj.sum(axis=0))
 
 
 def _validated_factor(m: np.ndarray, topology: Topology, name: str) -> np.ndarray:
@@ -202,7 +196,7 @@ def _validated_factor(m: np.ndarray, topology: Topology, name: str) -> np.ndarra
         raise StructureError(f"{name} has negative entries")
     m = np.clip(m, 0.0, None)
     cols = m.sum(axis=0)
-    if np.abs(cols - 1.0).max() > _COL_TOL:
+    if not np.abs(cols - 1.0).max() <= _COL_TOL:  # NaN fails too
         raise StructureError(
             f"{name} is not left-stochastic (max column-sum error "
             f"{np.abs(cols - 1.0).max():.3e})"
@@ -227,7 +221,7 @@ def assemble(kind: str, a: np.ndarray | None = None, *,
     if kind in PRESETS:
         if a is None:
             raise ValueError(f"preset {kind!r} needs the combination matrix a")
-        a = _validated_factor(a, support, "a")
+        a = _validated_factor(a, support, "a")  # I I A = I A I = A I I = A exactly
         triple = {
             "consensus": (eye, a, eye),
             "atc": (eye, eye, a),
@@ -240,11 +234,10 @@ def assemble(kind: str, a: np.ndarray | None = None, *,
             _validated_factor(m, support, name)
             for m, name in ((a1, "a1"), (a0, "a0"), (a2, "a2"))
         )
+        a = triple[0] @ triple[1] @ triple[2]
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    return CombinationPolicy(kind=kind, a1=triple[0], a0=triple[1],
-                             a2=triple[2], a=triple[0] @ triple[1] @ triple[2],
-                             support=support)
+    return CombinationPolicy(kind, *triple, a=a, support=support)
 
 
 def policy_to_json(policy: CombinationPolicy, perron: PerronData) -> dict:

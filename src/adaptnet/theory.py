@@ -88,10 +88,9 @@ def optimal_theta(h, rv_blocks, mu_max: float) -> OptimalWeights:
     (mu_max / 2) / sum_l Tr(H^-1 R_v,l)^-1.  Requires every agent's noise
     trace to be positive (a noiseless agent would take all the weight).
     """
-    h = np.asarray(h, dtype=float)
     rv = np.asarray(rv_blocks, dtype=float)
-    traces = np.array([float(np.trace(np.linalg.solve(h, rv[k])))
-                       for k in range(rv.shape[0])])
+    # Tr(H^-1 R_v,k) = sum_ij (H^-1)_ij (R_v,k)_ji: one inverse for all agents
+    traces = np.einsum("ij,kji->k", np.linalg.inv(np.asarray(h, dtype=float)), rv)
     if (traces <= 1e-300).any():
         raise ValueError(
             "optimal weights are degenerate: some agent has zero noise trace"
@@ -105,11 +104,11 @@ def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
     """Optimal weights from a model, after checking the shared-Hessian premise."""
     h0 = model.hessian(0)
     scale = max(1.0, float(np.abs(h0).max()))
-    for k in range(1, model.n_agents):
-        if np.abs(model.hessian(k) - h0).max() > 1e-12 * scale:
-            raise ContractError(
-                "optimal weights assume identical Hessians across agents"
-            )
+    # max_k |H_k - H_0| with H_k = 2 R_u,k, through one (N, M, M) temporary
+    if 2.0 * abs(model.r_u - model.r_u[0]).max() > 1e-12 * scale:
+        raise ContractError(
+            "optimal weights assume identical Hessians across agents"
+        )
     return optimal_theta(h0, model.rv_blocks(), mu_max)
 
 

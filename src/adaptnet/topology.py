@@ -9,6 +9,7 @@ Hastings weight construction).  Agent indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,14 +37,22 @@ class Topology:
         object.__setattr__(
             self, "neighbors", tuple(tuple(sorted(set(s))) for s in self.neighbors)
         )
-        for k, hood in enumerate(self.neighbors):
-            for l in hood:
-                if not 0 <= l < self.n:
-                    raise ValueError(f"agent index {l} out of range [0, {self.n})")
-                if k not in self.neighbors[l]:
-                    raise ValueError(f"edge ({l}, {k}) is not symmetric")
-            if k not in hood:
-                raise ValueError(f"agent {k} is missing its self-loop")
+        hear, agent = self._pairs()
+        out = (hear < 0) | (hear >= self.n)
+        if out.any():
+            raise ValueError(f"agent index {hear[out][0]} out of range [0, {self.n})")
+        code, back = agent * self.n + hear, hear * self.n + agent
+        if not np.array_equal(code, np.sort(back)):  # code: agent-major, sorted
+            i = np.argmin(np.isin(back, code))  # first l in N_k, k not in N_l
+            raise ValueError(f"edge ({hear[i]}, {agent[i]}) is not symmetric")
+        if np.count_nonzero(hear == agent) < self.n:  # at most one per agent
+            k = np.setdiff1d(np.arange(self.n), agent[hear == agent])[0]
+            raise ValueError(f"agent {k} is missing its self-loop")
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (l, k) over every l in N_k, in neighbor-list order."""
+        return (np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp),
+                np.repeat(np.arange(self.n), [len(h) for h in self.neighbors]))
 
     def degree(self, k: int) -> int:
         """Neighborhood size |N_k|, counting the agent itself."""
@@ -52,16 +61,13 @@ class Topology:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges (i < j), self-loops excluded."""
-        out = []
-        for k, hood in enumerate(self.neighbors):
-            out.extend((k, l) for l in hood if l > k)
-        return out
+        hear, agent = self._pairs()
+        return [(k, l) for k, l in zip(agent.tolist(), hear.tolist()) if l > k]
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix including the diagonal self-loops."""
         a = np.zeros((self.n, self.n))
-        for k, hood in enumerate(self.neighbors):
-            a[list(hood), k] = 1.0
+        a[self._pairs()] = 1.0
         return a
 
     def is_connected(self) -> bool:
@@ -69,20 +75,26 @@ class Topology:
 
 
 def from_edges(n: int, edges) -> Topology:
-    """Build a topology from an undirected edge list; self-loops are added."""
-    hoods = [{k} for k in range(n)]
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        hoods[i].add(j)
-        hoods[j].add(i)
-    return Topology(n, tuple(tuple(sorted(s)) for s in hoods))
+    """Build a topology from undirected edges, a sequence of (i, j) pairs or
+    an (E, 2) integer array; self-loops are added."""
+    if n < 1:
+        raise ValueError(f"agent count must be >= 1, got {n}")
+    ends = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+        raise ValueError("edges must be pairs of agent indices")
+    out = ((ends < 0) | (ends >= n)).any(axis=1)
+    if out.any():
+        raise ValueError(f"edge {tuple(ends[out][0].tolist())} out of range for n={n}")
+    # the codes k n + l of every l in N_k, sorted and without repeats
+    code = np.sort(np.concatenate([ends @ [n, 1], ends @ [1, n], np.arange(n) * (n + 1)]))
+    code = code[np.diff(code, prepend=-1) > 0]
+    cuts = [0] + np.cumsum(np.bincount(code // n, minlength=n)).tolist()
+    hear = (code % n).tolist()
+    return Topology(n, tuple(tuple(hear[a:b]) for a, b in zip(cuts, cuts[1:])))
 
 
 def ring(n: int) -> Topology:
     """Cycle graph: each agent hears its two cyclic neighbors and itself."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
     return from_edges(n, [(k, (k + 1) % n) for k in range(n)] if n > 1 else [])
 
 
@@ -102,10 +114,10 @@ def random_geometric(n: int, radius: float, seed: int) -> Topology:
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         pos = rng.random((n, 2))
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        topo = from_edges(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] <= radius]
-        )
+        # |pos_i - pos_j| rounded as np.linalg.norm(..., axis=-1) rounds it
+        dx, dy = (pos[:, None, c] - pos[None, :, c] for c in (0, 1))
+        dist = np.sqrt(dx * dx + dy * dy)
+        topo = from_edges(n, np.argwhere(np.triu(dist <= radius, 1)))
         if is_connected(topo):
             return topo
     raise ConnectivityError(

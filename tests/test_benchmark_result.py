@@ -1,10 +1,12 @@
 """The benchmark's traced result line, as a benchmark comparison reads it.
 
-One short traced run of the canonical_atc workload: its last stdout line
-must be strict JSON (no NaN or Infinity), report a correct run with no
-failed operation, and carry exactly the per-layer metrics that
-``BENCHMARK.json`` declares.  A public function renamed or deleted from
-under a declared span shows here as a missing metric.
+One short traced run of the canonical_atc workload and one of the
+theory_sweep workload: each last stdout line must be strict JSON (no NaN
+or Infinity), report a correct run with no failed operation, and carry
+exactly the per-layer metrics that ``BENCHMARK.json`` declares.  A public
+function renamed or deleted from under a declared span, on the simulator
+path or on the graph, policy and theory path, shows here as a missing
+metric.
 """
 
 import json
@@ -19,9 +21,9 @@ def _reject(constant):
     raise ValueError(f"non-finite constant {constant} in the result line")
 
 
-def test_traced_canonical_run_reports_every_declared_metric():
+def _check_traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "canonical_atc",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--trace", "1", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -30,3 +32,11 @@ def test_traced_canonical_run_reports_every_declared_metric():
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+def test_traced_canonical_run_reports_every_declared_metric():
+    _check_traced_run("canonical_atc")
+
+
+def test_traced_theory_sweep_reports_every_declared_metric():
+    _check_traced_run("theory_sweep")

@@ -180,6 +180,16 @@ class TestTheory:
         assert main(["theory", "--config", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_n2", [0.01, float("nan")]), ("w_star", [float("inf"), 0.5]),
+        ("r_u", [[[1.0, 0.0], [0.0, float("nan")]]] * 2),
+    ])
+    def test_non_finite_model_exits_3(self, tmp_path, capsys, field, value):
+        model = dict(TINY_CONFIG["model"], **{field: value})
+        cfg = write_config(tmp_path, dict(TINY_CONFIG, model=model))
+        assert main(["theory", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_single_agent_baseline_value(self, tmp_path, capsys):
         # one agent, dimension 10, unit covariance, noise 0.1, mu 1e-3:
         # the classic steady-state law gives exactly 1e-3

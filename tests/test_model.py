@@ -5,6 +5,7 @@ from adaptnet import (AssumptionConstants, LinearModel, assumption_constants,
                       check_network_observability, limit_point,
                       network_hessian, noise_profile)
 from adaptnet.errors import ModelError, ObservabilityError
+from adaptnet.model import _covariance_factor
 
 
 def make_model(m=2, n=2, r_u=None, sigma_n2=None, w_star=None):
@@ -51,6 +52,31 @@ class TestValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ModelError):
             make_model(sigma_n2=[0.1, -0.1])
+
+    def test_asymmetric_block_is_named(self):
+        r_u = np.broadcast_to(np.eye(3), (10, 3, 3)).copy()
+        r_u[7, 0, 2] += 1e-6
+        with pytest.raises(ModelError, match=r"r_u\[7\] is not symmetric"):
+            make_model(m=3, n=10, r_u=r_u)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_n2", [0.1, np.nan]), ("sigma_n2", [np.inf, 0.1]),
+        ("w_star", [np.nan, 1.0]), ("r_u", [np.eye(2), np.diag([1.0, np.nan])]),
+        ("r_u", [np.diag([np.inf, 1.0]), np.eye(2)]),
+    ])
+    def test_non_finite_input_names_its_field(self, field, value):
+        with pytest.raises(ModelError, match=rf"{field}\b.*non-finite"):
+            make_model(**{field: value})
+
+    def test_factors_match_the_per_agent_factor(self):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((12, 4, 4))
+        r_u = g @ g.transpose(0, 2, 1)
+        r_u[::3] = g[::3, :, :1] @ g[::3, :, :1].transpose(0, 2, 1)  # rank 1
+        for stack in (r_u[1:3], r_u):  # all definite, then mixed
+            model = make_model(m=4, n=len(stack), r_u=stack)
+            assert np.array_equal(
+                model._factors, [_covariance_factor(r) for r in stack])
 
     def test_singular_psd_covariance_accepted(self):
         model = complementary_pair()
@@ -192,6 +218,18 @@ class TestHessians:
         model = make_model(r_u=[np.eye(2), np.diag([1.0, 3.0])])
         hc = network_hessian(model, [0.5, 0.5])
         assert np.allclose(hc, np.diag([2.0, 4.0]))
+
+    def test_weighted_sum_matches_the_stacked_hessians(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((30, 5, 5))
+        model = make_model(m=5, n=30, r_u=g @ g.transpose(0, 2, 1))
+        p = rng.random(30)
+        p /= p.sum()
+        stacked = np.stack([model.hessian(k) for k in range(30)])
+        assert np.array_equal(network_hessian(model, p),
+                              np.einsum("k,kij->ij", p, stacked))
+        lam_max = max(np.linalg.eigvalsh(r).max() for r in model.r_u)
+        assert assumption_constants(model, p).lambda_u == 2.0 * lam_max
 
     def test_rank_deficient_pair_is_jointly_definite(self):
         hc = network_hessian(complementary_pair(), [0.5, 0.5])

@@ -141,7 +141,34 @@ class TestComputeP:
             compute_p(np.eye(2), np.array([0.5, 0.5]), [0.0, 0.0])
 
 
+def hastings_loop_oracle(topology, target):
+    """The per-edge double loop: off-diagonal weights one edge at a time,
+    then each diagonal entry as 1 minus its column's off-diagonal sum."""
+    n = topology.n
+    a = np.zeros((n, n))
+    deg = np.array([topology.degree(k) for k in range(n)], dtype=float)
+    for k in range(n):
+        for l in topology.neighbors[k]:
+            if l != k:
+                a[l, k] = 1.0 / max(deg[k], deg[l] * (target[k] / target[l]))
+        a[k, k] = 1.0 - a[:, k].sum()
+    return a
+
+
 class TestHastings:
+    @pytest.mark.parametrize("n, radius", [(1, 0.5), (2, 1.5), (10, 0.6),
+                                           (300, 0.15)])
+    @pytest.mark.parametrize("graph", ["ring", "geometric"])
+    def test_matches_the_per_edge_loop_bit_for_bit(self, graph, n, radius):
+        topo = ring(n) if graph == "ring" else random_geometric(n, radius, n)
+        target = 0.1 + np.random.default_rng(n).random(n)
+        target /= target.sum()
+        assert np.array_equal(build_hastings(topo, target),
+                              hastings_loop_oracle(topo, target))
+        uniform = np.full(n, 1.0 / n)
+        assert np.array_equal(build_metropolis(topo),
+                              hastings_loop_oracle(topo, uniform))
+
     def test_two_agent_hand_evaluation(self):
         a = build_hastings(ring(2), [2 / 3, 1 / 3])
         assert np.allclose(a, [[0.75, 0.5], [0.25, 0.5]], atol=1e-15)
@@ -162,6 +189,11 @@ class TestHastings:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(ValueError):
             build_hastings(ring(3), [0.5, 0.5, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_hastings(ring(3), [0.5, 0.5, bad])
 
     def test_disconnected_topology_rejected(self):
         with pytest.raises(ConnectivityError):
@@ -240,6 +272,14 @@ class TestAssemble:
         pol = assemble("cta", a, support=topo)
         assert np.allclose(pol.a1, a)
 
+    @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
+    def test_preset_product_is_the_triple_product(self, kind):
+        topo = random_geometric(12, 0.5, 4)
+        target = np.linspace(1.0, 2.0, 12)
+        pol = assemble(kind, build_hastings(topo, target / target.sum()),
+                       support=topo)
+        assert np.array_equal(pol.a, pol.a1 @ pol.a0 @ pol.a2)
+
     def test_theta_is_the_read_only_perron_vector(self):
         topo = from_edges(3, [(0, 1), (1, 2)])
         pol = assemble("cta", build_uniform_averaging(topo), support=topo)
@@ -263,6 +303,10 @@ class TestAssemble:
         a, topo = matrix_and_support
         with pytest.raises(StructureError):
             assemble("atc", a * 1.001, support=topo)
+        a = a.copy()
+        a[0, 0] = np.nan
+        with pytest.raises(StructureError, match="left-stochastic"):
+            assemble("atc", a, support=topo)
 
 
 class TestSecondEigenvalue:

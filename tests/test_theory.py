@@ -127,6 +127,26 @@ class TestOptimalTheta:
         with pytest.raises(ContractError):
             optimal_theta_for_model(model, 1e-3)
 
+    def test_hessian_mismatch_at_the_last_agent_is_caught(self):
+        r_u = np.broadcast_to(np.eye(3), (50, 3, 3)).copy()
+        r_u[-1, 1, 1] += 1e-9
+        model = LinearModel(w_star=np.zeros(3), r_u=r_u,
+                            sigma_n2=np.full(50, 0.1))
+        with pytest.raises(ContractError):
+            optimal_theta_for_model(model, 1e-3)
+
+    def test_matches_per_agent_solves_at_scale(self):
+        rng = np.random.default_rng(11)
+        n, m = 300, 40
+        g = rng.standard_normal((m, m))
+        h = g @ g.T / m + np.eye(m)
+        q = rng.standard_normal((n, m, m))
+        rv = (q @ q.transpose(0, 2, 1)) * rng.uniform(1e-3, 1e-1, n)[:, None, None]
+        out = optimal_theta(h, rv, 1e-3)
+        inv = 1.0 / np.array([np.trace(np.linalg.solve(h, r)) for r in rv])
+        assert np.abs(out.theta / (inv / inv.sum()) - 1.0).max() < 1e-14
+        assert out.msd == pytest.approx(0.5e-3 / inv.sum(), rel=1e-14)
+
 
 class TestConvergenceRate:
     def test_scalar_case(self):

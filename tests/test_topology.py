@@ -70,6 +70,36 @@ def test_geometric_seed42_matches_independent_regeneration():
     assert is_connected(t)
 
 
+def geometric_neighbors_oracle(n, radius, seed):
+    """Neighbor tuples of the documented placement, one pair at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        pos = rng.random((n, 2))
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        hoods = [{k} for k in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dist[i, j] <= radius:
+                    hoods[i].add(j)
+                    hoods[j].add(i)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in hoods[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) == n:
+            return tuple(tuple(sorted(h)) for h in hoods)
+    raise AssertionError("no connected placement")
+
+
+@pytest.mark.parametrize("n, radius, seed", [(2, 1.0, 0), (15, 0.4, 1),
+                                             (60, 0.25, 2), (200, 0.13, 3)])
+def test_geometric_neighbors_match_the_pairwise_oracle(n, radius, seed):
+    neighbors = random_geometric(n, radius, seed).neighbors
+    assert neighbors == geometric_neighbors_oracle(n, radius, seed)
+    assert all(type(l) is int for hood in neighbors for l in hood)
+
+
 def test_geometric_connectivity_failure_names_parameters():
     with pytest.raises(ConnectivityError, match=r"n=40.*radius=0.01"):
         random_geometric(40, 0.01, 0)
@@ -107,3 +137,28 @@ def test_validation_rejects_asymmetric_neighbors():
 def test_validation_rejects_missing_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         Topology(2, ((1,), (0, 1)))
+
+
+def test_validation_names_the_first_one_way_edge():
+    # agent 2 is in N_1, but agent 1 is not in N_2
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) is not symmetric"):
+        Topology(3, ((0, 1), (0, 1, 2), (2,)))
+
+
+def test_validation_rejects_out_of_range_index():
+    with pytest.raises(ValueError, match="agent index 5 out of range"):
+        Topology(2, ((0, 5), (1,)))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 1, 2)], [(0, 3)]])
+def test_from_edges_rejects_malformed_edges(edges):
+    with pytest.raises(ValueError, match="edge"):
+        from_edges(3, edges)
+
+
+def test_adjacency_marks_every_neighborhood_column():
+    t = from_edges(4, [(0, 1), (1, 2)])
+    expected = np.zeros((4, 4))
+    for k, hood in enumerate(t.neighbors):
+        expected[list(hood), k] = 1.0
+    assert np.array_equal(t.adjacency(), expected)
