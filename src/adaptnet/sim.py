@@ -16,14 +16,22 @@ noises; the draws do not depend on the trial count, and a trial's
 results agree across trial counts to rounding (the product's summation
 order depends on M*T).
 
-Each stream's 256-iteration block buffer is a double buffer of two
-128-iteration halves: a worker thread draws the next half for every
-trial while the main thread steps through the current one (numpy's
-normal fill releases the interpreter lock), and the main thread, once
-through its half, draws the trials the worker has not reached.  Each
-generator is called in the same order either way, so the results do not
-depend on which thread draws.  No worker is used when the process may
-run on one CPU only, or when the streams are narrower than
+Each stream's block buffer, (T, 2 * half, width), is a double buffer of
+two half-blocks sized by normals, not iterations: half is
+ceil(``_DRAW_NORMALS`` / width) rows, at least ``_MIN_HALF`` and at most
+``_HALF`` = 128, so a per-trial draw call holds about 4 096 normals
+where neither bound applies.  Streams up to 32 normals wide keep 128-row
+halves; the canonical 60-wide stream takes 69 rows (400 trials: 26.5 MB
+where 256 rows took 49.2 MB), and fig4's 330-wide stream the 32-row
+floor (50 trials: 8.4 MB, from 33.8 MB).  A worker thread draws the next
+half for every trial while the main thread steps through the current one
+(numpy's normal fill releases the interpreter lock), and the main
+thread, once through its half, draws the trials the worker has not
+reached.  Each generator is called in the same order over the same
+iterations whatever the half, and a normal fill continues its stream
+across calls, so the results depend neither on the half-block size nor
+on which thread draws.  No worker is used when the process may run on
+one CPU only, or when the streams are narrower than
 ``_WORKER_MIN_WIDTH`` normals per network sample, where the per-trial
 draws are too small to pay for handing the interpreter lock back and
 forth.
@@ -38,8 +46,8 @@ covers the whole batch.  Every step does the same arithmetic whatever k
 is, so k changes no result.  The batch buffers are bounded by the
 budget: each holds at most about ``_BATCH_BYTES`` (an iterate bank
 (N + 1) M / (N M + N) times it), or one step's worth when k = 1.  The
-block buffers and their memory check are unchanged.  The deterministic
-reference curve is one closed form, ``reference_error_curve``.
+deterministic reference curve is one closed form,
+``reference_error_curve``.
 """
 
 from __future__ import annotations
@@ -60,8 +68,20 @@ from .strategy import (centralized_update, distributed_update,
                        transposed_combiners)
 from .theory import stable_step_bound
 
-_BLOCK = 256
+_BLOCK = 256  # the largest block buffer, in iterations
 _HALF = _BLOCK // 2
+# normals per per-trial draw call: the half-block is
+# ceil(_DRAW_NORMALS / width) rows, between _MIN_HALF and _HALF.  Fewer
+# normals take more draw calls per iteration.  On perfbench's
+# canonical_atc (400 x 60, 500 iterations; a 2-vCPU VM, one BLAS thread;
+# alternating 25 s runs against 128 rows) 4 096 (69 rows) read compute_s
+# +2.4% over 10 pairs, inside the 128-row runs' quartiles, and peak RSS
+# 68.3 MB against 90.9; 3 072 (52 rows) read +8.5% over 6 pairs (4 096:
+# +3.9% in the same set) and 61.8 MB; 2 048 (35 rows) was slower in all 3
+# pairs run.  The floor bounds how often a chunk boundary starts a worker
+# thread
+_DRAW_NORMALS = 4096
+_MIN_HALF = 32
 # narrower streams draw serially: on 2 vCPUs the worker's time over the
 # serial time was about 1.0 at width 12 and 0.87 at width 16
 _WORKER_MIN_WIDTH = 16
@@ -186,16 +206,25 @@ def _stderr(v: np.ndarray) -> np.ndarray:
     return v.std(axis=0, ddof=1) / math.sqrt(v.shape[0])
 
 
+def _half_block(width: int) -> int:
+    """Rows of a half-block for a stream of `width` normals per network
+    sample; the block buffer holds two."""
+    return min(_HALF, max(_MIN_HALF, -(-_DRAW_NORMALS // width)))
+
+
 class _Draws:
     """The draws of iterations [lo, hi) for every trial of every stream,
-    into the block buffer rows from lo % _BLOCK.  Each trial's draw is
-    taken by whichever thread asks next: the worker started here, if any,
-    and the caller of ``wait``, so neither idles while the other draws."""
+    into the block buffer rows from lo modulo the buffer's length.  Each
+    trial's draw is taken by whichever thread asks next: the worker
+    started here, if any, and the caller of ``wait``, so neither idles
+    while the other draws."""
 
     def __init__(self, streams, lo: int, hi: int, worker: bool):
-        rows = slice(lo % _BLOCK, lo % _BLOCK + hi - lo)
-        self._todo = iter([(g, dst) for gens, buf in streams
-                           for g, dst in zip(gens, buf[:, rows])])
+        tasks = []
+        for gens, buf in streams:
+            start = lo % buf.shape[1]
+            tasks += zip(gens, buf[:, start:start + hi - lo])
+        self._todo = iter(tasks)
         self._lock = threading.Lock()
         self._error = None
         self._worker = None
@@ -259,17 +288,24 @@ def run(config: SimConfig) -> LearningCurves:
     trust region, which signals an unstable step size; the steps a batch
     takes past that point raise no overflow warnings.  Raises
     ``ContractError`` before any work when the random-draw block buffers,
-    T * 256 * (N*M + N) * 8 bytes per stream, exceed physical memory.
+    T * 2 * half * (N*M + N) * 8 bytes per stream with half the
+    ``_half_block`` of that width (128 rows up to 32 normals wide, 69 for
+    the canonical 60, 32 for fig4's 330), exceed physical memory.
     """
     model, policy = config.model, config.policy
     n, m = model.n_agents, model.m
+    width = model.stream_width
+    half_rows = _half_block(width)
+    block = 2 * half_rows
     n_streams = 1 if config.paired_streams else 2
-    need = n_streams * config.trials * _BLOCK * model.stream_width * 8
+    need = n_streams * config.trials * block * width * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ContractError(
             f"{config.trials} trials need {need / 2**30:.1f} GiB of block "
-            f"buffers, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"buffers ({n_streams} stream(s) of a {block}-iteration x "
+            f"{width}-normal x 8 B block per trial), more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
         )
     perron = config.perron
     theta, p, mus, mu_max = perron.theta, perron.p, perron.mus, perron.mu_max
@@ -285,18 +321,17 @@ def run(config: SimConfig) -> LearningCurves:
 
     trials, iters = config.trials, config.iters
     combiners = transposed_combiners(policy)
-    width = model.stream_width
 
     streams = [([np.random.default_rng(trial_seed(config.seed, t))
-                 for t in range(trials)], np.empty((trials, _BLOCK, width)))]
+                 for t in range(trials)], np.empty((trials, block, width)))]
     if not config.paired_streams:
         streams.append(([np.random.default_rng(
             trial_seed(config.seed, t, _CENT_SALT)) for t in range(trials)],
-            np.empty((trials, _BLOCK, width))))
+            np.empty((trials, block, width))))
     raw, raw_c = streams[0][1], streams[-1][1]
     # with a worker, half-block c + 1 is drawn while c is stepped through
     worker = _use_worker(width)
-    chunk = _HALF if worker else _BLOCK
+    chunk = half_rows if worker else block
     batch = max(1, min(chunk, _BATCH_BYTES // (trials * width * 8)))
     pending = _Draws(streams, 0, min(chunk, iters), worker)
     try:
@@ -329,7 +364,7 @@ def run(config: SimConfig) -> LearningCurves:
             for start in range(lo, hi, batch):
                 stop = min(start + batch, hi)
                 steps = stop - start
-                rows = slice(start % _BLOCK, start % _BLOCK + steps)
+                rows = slice(start % block, start % block + steps)
                 u, d = model.regressors_from_raw(raw[:, rows].swapaxes(0, 1))
                 uc, dc = (u, d) if config.paired_streams \
                     else model.regressors_from_raw(

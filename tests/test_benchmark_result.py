@@ -1,12 +1,13 @@
 """The benchmark's traced result line, as a benchmark comparison reads it.
 
-One short traced run of the canonical_atc workload and one of the
-theory_sweep workload: each last stdout line must be strict JSON (no NaN
-or Infinity), report a correct run with no failed operation, and carry
-exactly the per-layer metrics that ``BENCHMARK.json`` declares.  A public
-function renamed or deleted from under a declared span, on the simulator
-path or on the graph, policy and theory path, shows here as a missing
-metric.
+One short traced run each of the canonical_atc, partial_obs_cta and
+theory_sweep workloads: each last stdout line must be strict JSON (no
+NaN or Infinity), report a correct run with no failed operation, and
+carry exactly the per-layer metrics that ``BENCHMARK.json`` declares.  A
+public function renamed or deleted from under a declared span, on the
+simulator path, on the ``adaptnet run`` path (CSV export, run summary,
+experiment build, theory block) or on the graph, policy and theory path,
+shows here as a missing metric.
 """
 
 import json
@@ -40,3 +41,7 @@ def test_traced_canonical_run_reports_every_declared_metric():
 
 def test_traced_theory_sweep_reports_every_declared_metric():
     _check_traced_run("theory_sweep")
+
+
+def test_traced_partial_obs_run_reports_every_declared_metric():
+    _check_traced_run("partial_obs_cta")

@@ -159,17 +159,29 @@ class TestRunBasics:
             assert threading.active_count() == threads
 
     def test_block_buffers_must_fit_memory(self):
-        cfg = small_config(trials=10**8, iters=50)
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            with pytest.raises(ContractError, match="GiB of block buffers"):
-                run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1.0
-        assert peak < 1 << 20
+        # the narrow stream keeps 128-row halves, the 330-wide one takes
+        # the 32-row floor; the error names the per-trial block it sized
+        trials = 10**8
+        for n, m, paired, block in ((3, 2, True, 256), (30, 10, False, 64)):
+            width, streams = n * (m + 1), 1 if paired else 2
+            assert 2 * sim._half_block(width) == block
+            cfg = small_config(n=n, m=m, trials=trials, iters=50,
+                               paired=paired)
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ContractError,
+                                   match="GiB of block buffers") as err:
+                    run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 1.0
+            assert peak < 1 << 20
+            need = streams * trials * block * width * 8
+            assert f"{need / 2**30:.1f} GiB" in str(err.value)
+            assert (f"{streams} stream(s) of a {block}-iteration x "
+                    f"{width}-normal x 8 B block per trial") in str(err.value)
 
     def test_near_bound_step_warns(self):
         # bound for this model is lambda_l/(lambda_u^2/2 + 2 alpha) = 2/50
@@ -243,10 +255,14 @@ def test_serial_draws_match_the_worker(kind, paired, monkeypatch):
 def test_batch_size_changes_nothing(kind, paired, monkeypatch):
     # one step per batch, the default batch and a whole chunk per batch;
     # 40 trials of width 9 put the default strictly between the two, and
-    # its batches do not divide the 128- and 256-iteration chunks
+    # its batches divide neither the chunk with a worker (a half-block)
+    # nor the one without (the whole block)
     trials, n, m = 40, 3, 2
-    default = sim._BATCH_BYTES // (trials * n * (m + 1) * 8)
-    assert 1 < default < sim._HALF and sim._HALF % default
+    width = n * (m + 1)
+    default = sim._BATCH_BYTES // (trials * width * 8)
+    half = sim._half_block(width)
+    for chunk in (half, 2 * half):
+        assert 1 < default < chunk and chunk % default
     for identity, worker, iters in itertools.product(
             (True, False), (True, False), (37, 128, 129, 300)):
         cfg = small_config(n=n, m=m, trials=trials, iters=iters, kind=kind,
@@ -262,6 +278,57 @@ def test_batch_size_changes_nothing(kind, paired, monkeypatch):
             for other in results[1:]:
                 assert np.array_equal(getattr(results[0], name),
                                       getattr(other, name)), name
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (30, 10)])
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("worker", [True, False])
+def test_half_block_size_changes_nothing(worker, paired, n, m, monkeypatch):
+    # half-blocks of 32 (the floor), 35, 69 and 128 rows on a narrow and a
+    # wide stream; 37 and 300 iterations end mid-chunk for each, and 300
+    # wraps every block buffer at least once
+    width = n * (m + 1)
+    init = sim._Draws.__init__
+    rows = set()
+
+    def spy(self, streams, lo, hi, worker):
+        rows.update(buf.shape[1] for _, buf in streams)
+        init(self, streams, lo, hi, worker)
+
+    monkeypatch.setattr(sim._Draws, "__init__", spy)
+    _force_worker(monkeypatch, worker)
+    for iters in (37, 300):
+        cfg = small_config(n=n, m=m, mu=1e-3, trials=3, iters=iters,
+                           paired=paired)
+        results = []
+        for half in (32, 35, 69, 128):
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_DRAW_NORMALS", half * width)
+                assert sim._half_block(width) == half
+                rows.clear()
+                results.append(run(cfg))
+            assert rows == {2 * half}
+        for name in _CURVE_FIELDS:
+            for other in results[1:]:
+                assert np.array_equal(getattr(results[0], name),
+                                      getattr(other, name)), name
+
+
+def test_draws_index_rows_by_the_buffer_length():
+    # a 70-row buffer, shorter than _BLOCK: iterations [105, 140) go to
+    # rows 35..69 and continue each trial's stream; rows 0..34 stay as
+    # they were
+    trials, width, rows = 3, 7, 70
+    assert rows < sim._BLOCK
+    buf = np.zeros((trials, rows, width))
+    gens = [np.random.default_rng(s) for s in range(trials)]
+    for g in gens:
+        g.standard_normal((105, width))
+    sim._Draws([(gens, buf)], 105, 140, worker=False).wait()
+    for t in range(trials):
+        stream = np.random.default_rng(t).standard_normal((140, width))
+        assert np.array_equal(buf[t, 35:], stream[105:])
+    assert not buf[:, :35].any()
 
 
 class TestDrawWorkerLifetime:
