@@ -17,13 +17,12 @@ from .numerics import (lyapunov_quadrature_oracle, matrix_exponential,
                        solve_lyapunov_continuous, spectral_radius)
 from .policy import (CombinationPolicy, PerronData, assemble, build_hastings,
                      build_metropolis, build_perron, build_uniform_averaging,
-                     compute_p, is_primitive, perron_vector, policy_to_json,
+                     is_primitive, perron_vector, policy_to_json,
                      second_eigenvalue_magnitude)
 from .sim import (LearningCurves, SimConfig, decomposition_diagnostics,
                   export_csv, fit_geometric_rate, run, run_summary)
-from .strategy import (CentralState, NetworkState, ReferenceState,
-                       reference_error_curve, reference_init,
-                       step_centralized, step_distributed, step_reference)
+from .strategy import (reference_error_curve, step_centralized,
+                       step_distributed, step_reference)
 from .theory import (OptimalWeights, TheoryReport, build_report,
                      convergence_rate, optimal_theta, optimal_theta_for_model,
                      predict_msd_identity, predict_weighted_mse,

@@ -188,10 +188,6 @@ class LinearModel:
         (N, M, M): block k is 4 sigma_n,k^2 R_u,k."""
         return 4.0 * self.sigma_n2[:, None, None] * self.r_u
 
-    def hessian(self, k: int) -> np.ndarray:
-        """Gradient Jacobian at the limit point: 2 R_u,k."""
-        return 2.0 * self.r_u[k]
-
 
 def network_hessian(model, p) -> np.ndarray:
     """Weighted gradient-Jacobian sum sum_k p_k H_k at the limit point."""

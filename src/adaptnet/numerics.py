@@ -134,8 +134,7 @@ def lyapunov_quadrature_oracle(hc, sigma, t_max: float | None = None,
     """
     hc = _square(hc)
     sigma = _check_weighting(_square(sigma))
-    _check_stable(hc)
-    min_real = float(np.linalg.eigvals(hc).real.min())
+    min_real = _check_stable(hc)
     if t_max is None:
         t_max = float(np.log(1e14) / (2.0 * min_real))
         while np.linalg.norm(matrix_exponential(-hc * t_max), 2) ** 2 > 1e-14:

@@ -129,23 +129,22 @@ def second_eigenvalue_magnitude(a: np.ndarray) -> float:
     return float(mags[1])
 
 
-def compute_p(a2: np.ndarray, theta: np.ndarray, mus) -> PerronData:
-    """Step-size-weighted network weights p_k = (mu_k/mu_max) (A2 theta)_k."""
-    theta = np.asarray(theta, dtype=float)
+def build_perron(policy: CombinationPolicy, mus) -> PerronData:
+    """Perron data for an assembled policy and a step-size profile (one
+    per agent, or a scalar for all): the step-size-weighted network
+    weights p_k = (mu_k/mu_max) (A2 theta)_k."""
+    theta = policy.theta
     mus = np.broadcast_to(np.asarray(mus, dtype=float), theta.shape).copy()
+    if not np.isfinite(mus).all():
+        raise ValueError("step sizes must be finite")
     if (mus < 0).any():
         raise ValueError("step sizes must be nonnegative")
     mu_max = float(mus.max())
     if mu_max == 0.0:
         raise ValueError("at least one step size must be positive")
-    pi = np.asarray(a2, dtype=float) @ theta
+    pi = policy.a2 @ theta
     p = (mus / mu_max) * pi
     return PerronData(theta=theta, pi=pi, p=p, mus=mus, mu_max=mu_max)
-
-
-def build_perron(policy: CombinationPolicy, mus) -> PerronData:
-    """Perron data for an assembled policy and a step-size profile."""
-    return compute_p(policy.a2, policy.theta, mus)
 
 
 def build_hastings(topology: Topology, target) -> np.ndarray:

@@ -64,8 +64,7 @@ from .errors import ContractError, DivergenceError
 from .model import assumption_constants, limit_point
 from .policy import CombinationPolicy, PerronData, build_perron
 from .strategy import (centralized_update, distributed_update,
-                       reference_error_curve, reference_init,
-                       transposed_combiners)
+                       reference_error_curve, transposed_combiners)
 from .theory import stable_step_bound
 
 _BLOCK = 256  # the largest block buffer, in iterations
@@ -335,10 +334,10 @@ def run(config: SimConfig) -> LearningCurves:
     batch = max(1, min(chunk, _BATCH_BYTES // (trials * width * 8)))
     pending = _Draws(streams, 0, min(chunk, iters), worker)
     try:
-        # the deterministic reference curve, shared by every trial (a
-        # worker draws the first chunk meanwhile)
-        ref_err = reference_error_curve(
-            reference_init(np.zeros((n, m)), theta), perron, model, iters)
+        # the deterministic reference curve, shared by every trial, from
+        # the agents' Perron-weighted start theta @ 0 = 0 (a worker draws
+        # the first chunk meanwhile)
+        ref_err = reference_error_curve(np.zeros(m), perron, model, iters)
 
         full_start, half_start = _window_starts(iters, config.steady_window)
         window, half = iters - full_start, iters - half_start
@@ -437,6 +436,9 @@ def fit_geometric_rate(series, i_start: int, i_end: int) -> float:
     spectral contraction exactly when the decay is single-mode.
     """
     series = np.asarray(series, dtype=float)
+    if not 0 <= i_start < i_end <= len(series):
+        raise ValueError(f"fit range [{i_start}, {i_end}) must lie within "
+                         f"the series' {len(series)} points")
     seg = series[i_start:i_end]
     if seg.size < 2:
         raise ValueError("need at least two points to fit a rate")

@@ -9,13 +9,14 @@ Three recursions share the per-agent sample stream:
   reference     w+ = w - mu_max sum_k p_k s_k(w)      (deterministic)
 
 The stochastic gradient is always evaluated at the first-stage combine
-phi_k.  Step functions are pure given (state, rng); one network sample
-(every agent, agents in index order) is consumed per call.  The
-distributed and centralized steps are the kernels ``distributed_update``
-and ``centralized_update``, which ``sim.run`` calls too.  The kernels
-take the agent axis first and any trial axes trailing: the step
-functions pass states (N, M) and (M,), ``sim.run`` passes (N, M, T) and
-(M, T), so every combine is one (N, N) @ (N, M*T) matrix product.
+phi_k.  Step functions take and return plain iterate arrays and are pure
+given (w, rng); one network sample (every agent, agents in index order)
+is consumed per call.  The distributed and centralized steps are the
+kernels ``distributed_update`` and ``centralized_update``, which
+``sim.run`` calls too.  The kernels take the agent axis first and any
+trial axes trailing: the step functions pass iterates (N, M) and (M,),
+``sim.run`` passes (N, M, T) and (M, T), so every combine is one
+(N, N) @ (N, M*T) matrix product.
 The reference recursion is affine with the symmetric Jacobian H_c and
 contracts towards w*, the network limit point, so
 ``reference_error_curve`` gives its whole error curve in closed form;
@@ -24,37 +25,11 @@ contracts towards w*, the network limit point, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
 from .model import network_hessian
 from .policy import CombinationPolicy, PerronData
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Stacked per-agent iterates, shape (N, M)."""
-
-    w: np.ndarray
-    iter: int = 0
-
-
-@dataclass(frozen=True)
-class CentralState:
-    """Single shared iterate of the centralized recursion."""
-
-    w_cent: np.ndarray
-    iter: int = 0
-
-
-@dataclass(frozen=True)
-class ReferenceState:
-    """Iterate of the deterministic reference recursion."""
-
-    w_bar: np.ndarray
-    iter: int = 0
 
 
 def transposed_combiners(policy: CombinationPolicy):
@@ -114,44 +89,42 @@ def centralized_update(w, p, mu_max, model, u, d, out=None, work=None):
     return np.subtract(w, step.reshape(w.shape), out=out)
 
 
-def step_distributed(state: NetworkState, policy: CombinationPolicy,
-                     perron: PerronData, model, rng) -> NetworkState:
-    """Advance every agent by one combine/adapt/combine round."""
-    w = np.asarray(state.w, dtype=float)
+def step_distributed(w, policy: CombinationPolicy, perron: PerronData,
+                     model, rng) -> np.ndarray:
+    """Advance every agent's iterate, rows of ``w`` (N, M), by one
+    combine/adapt/combine round."""
+    w = np.asarray(w, dtype=float)
     if w.shape != (model.n_agents, model.m):
         raise ContractError(
-            f"state shape {w.shape} does not match the model "
+            f"iterate shape {w.shape} does not match the model "
             f"({model.n_agents} agents, dimension {model.m})"
         )
     u, d = model.sample_network(rng)
-    w_next = distributed_update(w, transposed_combiners(policy),
-                                perron.mus, model, u, d)
-    return NetworkState(w=w_next, iter=state.iter + 1)
+    return distributed_update(w, transposed_combiners(policy), perron.mus,
+                              model, u, d)
 
 
-def step_centralized(state: CentralState, perron: PerronData, model,
-                     rng) -> CentralState:
+def step_centralized(w, perron: PerronData, model, rng) -> np.ndarray:
     """One step of the fusion-center recursion on all agents' fresh data."""
-    w = np.asarray(state.w_cent, dtype=float)
+    w = np.asarray(w, dtype=float)
     if w.shape != (model.m,):
-        raise ContractError(f"state shape {w.shape} does not match dimension {model.m}")
+        raise ContractError(
+            f"iterate shape {w.shape} does not match dimension {model.m}")
     u, d = model.sample_network(rng)
-    w_next = centralized_update(w, perron.p, perron.mu_max, model, u, d)
-    return CentralState(w_cent=w_next, iter=state.iter + 1)
+    return centralized_update(w, perron.p, perron.mu_max, model, u, d)
 
 
-def step_reference(state: ReferenceState, perron: PerronData,
-                   model) -> ReferenceState:
+def step_reference(w, perron: PerronData, model) -> np.ndarray:
     """One deterministic step along the weighted true gradients."""
-    w = np.asarray(state.w_bar, dtype=float)
+    w = np.asarray(w, dtype=float)
     grad = np.einsum("k,km->m", perron.p, model.true_gradient_all(w))
-    return ReferenceState(w_bar=w - perron.mu_max * grad, iter=state.iter + 1)
+    return w - perron.mu_max * grad
 
 
-def reference_error_curve(state: ReferenceState, perron: PerronData, model,
+def reference_error_curve(w0, perron: PerronData, model,
                           steps: int) -> np.ndarray:
     """Squared distances ||w* - w_i||^2, i = 1..steps, of the reference
-    recursion started from ``state``, in closed form.
+    recursion started from ``w0`` (M,), in closed form.
 
     The recursion contracts towards the model's w*, the network limit
     point, by the symmetric H_c = sum_k p_k 2 R_u,k:
@@ -162,16 +135,7 @@ def reference_error_curve(state: ReferenceState, perron: PerronData, model,
     """
     lam, v = np.linalg.eigh(network_hessian(model, perron.p))
     rho = 1.0 - perron.mu_max * lam
-    c = v.T @ (np.asarray(state.w_bar, dtype=float) - model.w_star)
+    c = v.T @ (np.asarray(w0, dtype=float) - model.w_star)
     with np.errstate(over="ignore", invalid="ignore"):
         gap = rho ** np.arange(1, steps + 1)[:, None] * c
         return np.einsum("ij,ij->i", gap, gap)
-
-
-def reference_init(w0_per_agent, theta) -> ReferenceState:
-    """Reference start: the Perron-weighted average of the agents' starts."""
-    w0 = np.asarray(w0_per_agent, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if w0.shape[0] != theta.shape[0]:
-        raise ContractError("one initial iterate per agent is required")
-    return ReferenceState(w_bar=theta @ w0, iter=0)

@@ -102,7 +102,7 @@ def optimal_theta(h, rv_blocks, mu_max: float) -> OptimalWeights:
 
 def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
     """Optimal weights from a model, after checking the shared-Hessian premise."""
-    h0 = model.hessian(0)
+    h0 = 2.0 * model.r_u[0]
     scale = max(1.0, float(np.abs(h0).max()))
     # max_k |H_k - H_0| with H_k = 2 R_u,k, through one (N, M, M) temporary
     if 2.0 * abs(model.r_u - model.r_u[0]).max() > 1e-12 * scale:

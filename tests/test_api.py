@@ -19,15 +19,14 @@ PUBLIC = {
     # policy
     "CombinationPolicy", "PerronData", "assemble", "build_hastings",
     "build_metropolis", "build_perron", "build_uniform_averaging",
-    "compute_p", "is_primitive", "perron_vector", "policy_to_json",
+    "is_primitive", "perron_vector", "policy_to_json",
     "second_eigenvalue_magnitude",
     # sim
     "LearningCurves", "SimConfig", "decomposition_diagnostics",
     "export_csv", "fit_geometric_rate", "run", "run_summary",
     # strategy
-    "CentralState", "NetworkState", "ReferenceState",
-    "reference_error_curve", "reference_init", "step_centralized",
-    "step_distributed", "step_reference",
+    "reference_error_curve", "step_centralized", "step_distributed",
+    "step_reference",
     # theory
     "OptimalWeights", "TheoryReport", "build_report", "convergence_rate",
     "optimal_theta", "optimal_theta_for_model", "predict_msd_identity",
@@ -42,4 +41,4 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 59

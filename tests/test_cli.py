@@ -190,6 +190,19 @@ class TestTheory:
         assert main(["theory", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"),
+                                    [5e-4, float("nan")]])
+    def test_non_finite_step_size_exits_3(self, tmp_path, capsys, command,
+                                          mu):
+        cfg = write_config(tmp_path, dict(TINY_CONFIG, mu=mu))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert "step sizes must be finite" in capsys.readouterr().err
+
     def test_single_agent_baseline_value(self, tmp_path, capsys):
         # one agent, dimension 10, unit covariance, noise 0.1, mu 1e-3:
         # the classic steady-state law gives exactly 1e-3

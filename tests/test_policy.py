@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptnet import (assemble, build_hastings, build_metropolis, build_perron,
-                      build_uniform_averaging, compute_p, from_edges,
+                      build_uniform_averaging, from_edges,
                       is_primitive, perron_vector, policy_to_json,
                       random_geometric, ring, second_eigenvalue_magnitude)
 from adaptnet.errors import ConnectivityError, StructureError
@@ -119,26 +119,34 @@ class TestIsPrimitive:
 
 
 class TestComputeP:
+    """p_k = (mu_k/mu_max) (A2 theta)_k, through build_perron."""
+
     def test_uniform_steps_identity_a2_returns_theta_exactly(self):
-        theta = np.array([2 / 3, 1 / 3])
-        pd = compute_p(np.eye(2), theta, [1e-3, 1e-3])
-        assert np.array_equal(pd.p, theta)
+        # consensus keeps A2 = I, so pi is theta exactly
+        a = np.array([[2 / 3, 2 / 3], [1 / 3, 1 / 3]])
+        pol = assemble("consensus", a, support=ring(2))
+        assert np.array_equal(pol.a2, np.eye(2))
+        pd = build_perron(pol, [1e-3, 1e-3])
+        assert np.array_equal(pd.p, pol.theta)
+        assert np.allclose(pd.p, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_heterogeneous_steps_scale_entries(self):
-        pd = compute_p(np.eye(2), np.array([0.5, 0.5]), [1e-3, 5e-4])
+        pol = assemble("consensus", np.full((2, 2), 0.5), support=ring(2))
+        pd = build_perron(pol, [1e-3, 5e-4])
         assert np.allclose(pd.p, [0.5, 0.25], atol=1e-15)
         assert pd.mu_max == 1e-3
 
     def test_atc_doubly_stochastic_uniform(self):
-        a = build_metropolis(ring(4))  # doubly stochastic
-        theta = perron_vector(a)
-        pd = compute_p(a, theta, 1e-3)
+        topo = ring(4)
+        pol = assemble("atc", build_metropolis(topo), support=topo)  # doubly
+        pd = build_perron(pol, 1e-3)
         assert np.allclose(pd.pi, 0.25, atol=1e-12)
-        assert np.allclose(pd.p, theta, atol=1e-12)
+        assert np.allclose(pd.p, pol.theta, atol=1e-12)
 
     def test_zero_steps_rejected(self):
+        pol = assemble("consensus", np.full((2, 2), 0.5), support=ring(2))
         with pytest.raises(ValueError):
-            compute_p(np.eye(2), np.array([0.5, 0.5]), [0.0, 0.0])
+            build_perron(pol, [0.0, 0.0])
 
 
 def hastings_loop_oracle(topology, target):

@@ -79,6 +79,13 @@ class TestFitGeometricRate:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError):
             fit_geometric_rate(np.array([1.0, 0.0, 0.5]), 0, 3)
+        # a fit range outside the series names the range and the length
+        series = 0.9 ** np.arange(100)
+        for i_start, i_end in [(50, 200), (-1, 50), (50, 101), (60, 60)]:
+            with pytest.raises(ValueError,
+                               match=rf"\[{i_start}, {i_end}\).*100 points"):
+                fit_geometric_rate(series, i_start, i_end)
+        assert fit_geometric_rate(series, 0, 100) == pytest.approx(0.9)
 
 
 class TestRunBasics:
@@ -572,6 +579,12 @@ class TestConfigValidation:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, [5e-4, np.nan]])
+    def test_rejects_non_finite_step_sizes(self, mu):
+        with pytest.raises(ValueError, match="step sizes must be finite"):
+            small_config(n=2, mu=mu)
 
     def test_perron_data_is_derived_and_frozen(self):
         cfg = small_config(mu=[1e-3, 2e-3, 4e-3], kind="cta")

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from adaptnet import (CentralState, LinearModel, NetworkState, ReferenceState,
-                      SimConfig, assemble, build_hastings, build_metropolis,
-                      build_perron, network_hessian,
-                      random_geometric, reference_error_curve, reference_init,
-                      ring, run, step_centralized, step_distributed,
-                      step_reference)
+from adaptnet import (LinearModel, SimConfig, assemble, build_metropolis,
+                      build_perron, network_hessian, random_geometric,
+                      reference_error_curve, ring, run, step_centralized,
+                      step_distributed, step_reference)
+from adaptnet import sim
 from adaptnet.errors import ContractError
 from adaptnet.sim import trial_seed
 
@@ -40,7 +39,7 @@ class TestPresetEquivalence:
         policy = assemble(kind, a, support=topo)
         perron = build_perron(policy, mu)
         rng = np.random.default_rng(8)  # replays the same samples
-        return step_distributed(NetworkState(w=w), policy, perron, model, rng).w
+        return step_distributed(w, policy, perron, model, rng)
 
     def grad(self, model, x, u, d):
         return model.stochastic_gradient_network(x, u, d)
@@ -69,21 +68,21 @@ class TestFixedPointAndDeterminism:
     @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
     def test_noiseless_solution_is_invariant(self, kind):
         topo, policy, perron, model = lms_setup(sigma=0.0, kind=kind)
-        state = NetworkState(w=np.tile(model.w_star, (4, 1)))
+        w = np.tile(model.w_star, (4, 1))
         rng = np.random.default_rng(0)
         for _ in range(100):
-            state = step_distributed(state, policy, perron, model, rng)
-        assert np.abs(state.w - model.w_star).max() < 1e-12
+            w = step_distributed(w, policy, perron, model, rng)
+        assert np.abs(w - model.w_star).max() < 1e-12
 
     def test_identical_seeds_identical_trajectories(self):
         topo, policy, perron, model = lms_setup()
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            state = NetworkState(w=np.zeros((4, 3)))
+            w = np.zeros((4, 3))
             for _ in range(50):
-                state = step_distributed(state, policy, perron, model, rng)
-            outs.append(state.w)
+                w = step_distributed(w, policy, perron, model, rng)
+            outs.append(w)
         assert np.array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
@@ -131,42 +130,48 @@ class TestFixedPointAndDeterminism:
     def test_dimension_mismatch_rejected(self):
         topo, policy, perron, model = lms_setup()
         with pytest.raises(ContractError):
-            step_distributed(NetworkState(w=np.zeros((3, 3))), policy, perron,
-                             model, np.random.default_rng(0))
+            step_distributed(np.zeros((3, 3)), policy, perron, model,
+                             np.random.default_rng(0))
+        with pytest.raises(ContractError):
+            step_centralized(np.zeros(4), perron, model,
+                             np.random.default_rng(0))
 
 
 class TestCentralized:
     def test_noiseless_stays_at_solution(self):
         _, _, perron, model = lms_setup(sigma=0.0)
-        state = CentralState(w_cent=model.w_star.copy())
+        w = model.w_star.copy()
         for _ in range(50):
-            state = step_centralized(state, perron, model,
-                                     np.random.default_rng(3))
-        assert np.abs(state.w_cent - model.w_star).max() < 1e-12
+            w = step_centralized(w, perron, model, np.random.default_rng(3))
+        assert np.abs(w - model.w_star).max() < 1e-12
 
     def test_single_agent_matches_distributed(self):
         topo, policy, perron, model = lms_setup(n=1, m=3)
-        dist = NetworkState(w=np.zeros((1, 3)))
-        cent = CentralState(w_cent=np.zeros(3))
+        dist, cent = np.zeros((1, 3)), np.zeros(3)
         r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(25):
             dist = step_distributed(dist, policy, perron, model, r1)
             cent = step_centralized(cent, perron, model, r2)
-        assert np.allclose(dist.w[0], cent.w_cent, rtol=1e-12, atol=1e-15)
+        assert np.allclose(dist[0], cent, rtol=1e-12, atol=1e-15)
 
-    def test_steps_replay_run_bit_for_bit(self):
-        # sim.run and the step functions share one kernel per recursion
-        _, policy, perron, model = lms_setup(n=10, m=5, sigma=0.05, seed=2)
+    @pytest.mark.parametrize("paired", [True, False],
+                             ids=["paired", "unpaired"])
+    @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
+    def test_steps_replay_run_bit_for_bit(self, kind, paired):
+        # sim.run and the step functions share one kernel per recursion;
+        # unpaired, the centralized recursion draws from its salted stream
+        _, policy, perron, model = lms_setup(n=10, m=5, sigma=0.05, seed=2,
+                                             kind=kind)
         curves = run(SimConfig(trials=1, iters=300, seed=11, policy=policy,
-                               model=model, mus=1e-3, paired_streams=True))
-        dist = NetworkState(w=np.zeros((10, 5)))
-        cent = CentralState(w_cent=np.zeros(5))
+                               model=model, mus=1e-3, paired_streams=paired))
+        dist, cent = np.zeros((10, 5)), np.zeros(5)
         r_dist = np.random.default_rng(trial_seed(11, 0))
-        r_cent = np.random.default_rng(trial_seed(11, 0))
+        r_cent = np.random.default_rng(
+            trial_seed(11, 0, 0 if paired else sim._CENT_SALT))
         for i in range(300):
             dist = step_distributed(dist, policy, perron, model, r_dist)
             cent = step_centralized(cent, perron, model, r_cent)
-            err, err_c = dist.w - curves.w_star, cent.w_cent - curves.w_star
+            err, err_c = dist - curves.w_star, cent - curves.w_star
             assert np.array_equal(np.einsum("km,km->k", err, err),
                                   curves.msd[i])
             assert np.einsum("m,m->", err_c, err_c) \
@@ -180,19 +185,19 @@ class TestCentralized:
         acc = np.zeros((iters, 3, 2))
         for t in range(trials):
             rng = np.random.default_rng(1000 + t)
-            state = NetworkState(w=np.zeros((3, 2)))
+            w = np.zeros((3, 2))
             for i in range(iters):
-                state = step_distributed(state, policy, perron, model, rng)
-                acc[i] += state.w
+                w = step_distributed(w, policy, perron, model, rng)
+                acc[i] += w
         mean_path = acc / trials
-        ref = reference_init(np.zeros((3, 2)), perron.theta)
+        ref = np.zeros(2)  # the Perron-weighted average of the agents' starts
         checkpoints = {10, 50, 100, 149}
         stderr = 0.05 / np.sqrt(trials) + 3 * perron.mu_max
         for i in range(iters):
             ref = step_reference(ref, perron, model)
             if i in checkpoints:
                 for k in range(3):
-                    assert np.abs(mean_path[i, k] - ref.w_bar).max() < 3 * stderr
+                    assert np.abs(mean_path[i, k] - ref).max() < 3 * stderr
 
     def test_centralized_mean_trajectory_tracks_reference(self):
         topo, policy, perron, model = lms_setup(n=3, m=2, mu=2e-3, sigma=0.05,
@@ -201,25 +206,24 @@ class TestCentralized:
         acc = np.zeros((iters, 2))
         for t in range(trials):
             rng = np.random.default_rng(5000 + t)
-            state = CentralState(w_cent=np.zeros(2))
+            w = np.zeros(2)
             for i in range(iters):
-                state = step_centralized(state, perron, model, rng)
-                acc[i] += state.w_cent
+                w = step_centralized(w, perron, model, rng)
+                acc[i] += w
         mean_path = acc / trials
-        ref = reference_init(np.zeros((3, 2)), perron.theta)
+        ref = np.zeros(2)
         stderr = 0.05 / np.sqrt(trials) + 3 * perron.mu_max
         for i in range(iters):
             ref = step_reference(ref, perron, model)
             if i in {10, 50, 100, 149}:
-                assert np.abs(mean_path[i] - ref.w_bar).max() < 3 * stderr
+                assert np.abs(mean_path[i] - ref).max() < 3 * stderr
 
 
 class TestReference:
     def test_stays_at_solution(self):
         _, _, perron, model = lms_setup()
-        state = ReferenceState(w_bar=model.w_star.copy())
-        state = step_reference(state, perron, model)
-        assert np.allclose(state.w_bar, model.w_star, atol=1e-15)
+        w = step_reference(model.w_star.copy(), perron, model)
+        assert np.allclose(w, model.w_star, atol=1e-15)
 
     def test_scalar_contraction_rate(self):
         # H_c = 2I and mu = 0.01 contract the error by 0.98 per step
@@ -228,11 +232,11 @@ class TestReference:
         policy = assemble("atc", np.eye(1), support=topo)
         perron = build_perron(policy, 0.01)
         w0 = model.w_star + np.array([1.0, 0.0, 0.0, 0.0])
-        state = ReferenceState(w_bar=w0)
+        w = w0
         for i in range(1, 40):
-            state = step_reference(state, perron, model)
+            w = step_reference(w, perron, model)
             expected = 0.98 ** i
-            actual = np.linalg.norm(state.w_bar - model.w_star)
+            actual = np.linalg.norm(w - model.w_star)
             assert actual == pytest.approx(expected, rel=1e-12)
 
     def test_eigendirection_ratio_matches_spectral_radius(self):
@@ -244,30 +248,30 @@ class TestReference:
         policy = assemble("atc", np.eye(1), support=ring(1))
         perron = build_perron(policy, 0.01)
         slow = q[:, 0]  # eigenvector of the smallest eigenvalue, slowest mode
-        state = ReferenceState(w_bar=model.w_star + slow)
+        w = model.w_star + slow
         rho = 1.0 - 0.01 * 2.0 * 0.5
         for _ in range(20):
-            nxt = step_reference(state, perron, model)
-            ratio = (np.linalg.norm(nxt.w_bar - model.w_star)
-                     / np.linalg.norm(state.w_bar - model.w_star))
+            nxt = step_reference(w, perron, model)
+            ratio = (np.linalg.norm(nxt - model.w_star)
+                     / np.linalg.norm(w - model.w_star))
             assert ratio == pytest.approx(rho, rel=1e-12)
-            state = nxt
+            w = nxt
 
 
 class TestReferenceErrorCurve:
     """The closed-form curve against the one-step recursion it solves."""
 
     @staticmethod
-    def iterated(state, perron, model, steps):
+    def iterated(w, perron, model, steps):
         out = np.empty(steps)
         for i in range(steps):
-            state = step_reference(state, perron, model)
-            out[i] = np.sum((model.w_star - state.w_bar) ** 2)
+            w = step_reference(w, perron, model)
+            out[i] = np.sum((model.w_star - w) ** 2)
         return out
 
-    def check(self, state, perron, model, steps):
-        want = self.iterated(state, perron, model, steps)
-        got = reference_error_curve(state, perron, model, steps)
+    def check(self, w0, perron, model, steps):
+        want = self.iterated(w0, perron, model, steps)
+        got = reference_error_curve(w0, perron, model, steps)
         assert got.shape == (steps,)
         assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
@@ -286,8 +290,7 @@ class TestReferenceErrorCurve:
         perron = build_perron(policy, mu * rng.uniform(0.5, 1.0, n))
         lam = np.linalg.eigvalsh(network_hessian(model, perron.p))
         assert lam.max() > 3 * lam.min()
-        self.check(reference_init(np.zeros((n, m)), perron.theta), perron,
-                   model, 300)
+        self.check(np.zeros(m), perron, model, 300)
 
     @pytest.mark.parametrize("mu", [0.9, 1.3])
     def test_negative_contraction(self, mu):
@@ -299,21 +302,5 @@ class TestReferenceErrorCurve:
         perron = build_perron(assemble("atc", np.eye(1), support=ring(1)), mu)
         rho = 1.0 - mu * 2.0 * np.array([0.3, 0.8])
         assert rho.min() < 0
-        start = ReferenceState(w_bar=model.w_star + np.array([1.0, -2.0]))
-        self.check(start, perron, model, 12)
+        self.check(model.w_star + np.array([1.0, -2.0]), perron, model, 12)
 
-
-class TestReferenceInit:
-    def test_zero_start(self):
-        assert np.array_equal(
-            reference_init(np.zeros((3, 2)), np.full(3, 1 / 3)).w_bar,
-            np.zeros(2))
-
-    def test_weighted_average(self):
-        out = reference_init(np.array([[3.0], [0.0]]), np.array([2 / 3, 1 / 3]))
-        assert np.allclose(out.w_bar, [2.0])
-
-    def test_uniform_weights_give_mean(self):
-        w0 = np.arange(6.0).reshape(3, 2)
-        out = reference_init(w0, np.full(3, 1 / 3))
-        assert np.allclose(out.w_bar, w0.mean(axis=0))
