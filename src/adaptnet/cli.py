@@ -65,14 +65,20 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
     m = int(spec["m"])
     w_star = _build_w_star(spec["w_star"], m)
     r_spec = spec.get("r_u", "identity")
+    # one shared matrix stays one read-only block broadcast over the
+    # agents, not N copies
     if isinstance(r_spec, str):
         if r_spec != "identity":
             raise ConfigError(f"unknown r_u spec {r_spec!r}")
-        r_u = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+        r_u = np.broadcast_to(np.eye(m), (n, m, m))
     else:
         r_u = np.asarray(r_spec, dtype=float)
-        if r_u.ndim == 2:
-            r_u = np.broadcast_to(r_u, (n, m, m)).copy()
+        if r_u.shape == (m, m):
+            r_u = np.broadcast_to(r_u, (n, m, m))
+        elif r_u.shape != (n, m, m):
+            raise ConfigError(
+                f"r_u must be one ({m}, {m}) matrix or a ({n}, {m}, {m}) "
+                f"stack ({n} agents, m = {m}), not shape {r_u.shape}")
     noise = spec["sigma_n2"]
     if isinstance(noise, dict):
         if noise.get("kind") != "log_uniform":
@@ -86,10 +92,14 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
 
 
 def _build_policy(spec: dict, topo: topology_mod.Topology,
-                  model: model_mod.LinearModel,
-                  mu_max: float) -> policy_mod.CombinationPolicy:
+                  model: model_mod.LinearModel, mu_max: float
+                  ) -> tuple[policy_mod.CombinationPolicy,
+                             theory_mod.OptimalWeights | None]:
+    """The policy, plus the optimal weights when its Hastings target is
+    ``"optimal"`` (None otherwise)."""
     kind = spec.get("kind", "atc")
     weights = spec.get("weights", "metropolis")
+    optimal = None
     if weights == "metropolis":
         a = policy_mod.build_metropolis(topo)
     elif weights == "uniform":
@@ -97,26 +107,29 @@ def _build_policy(spec: dict, topo: topology_mod.Topology,
     elif weights == "hastings":
         target = spec.get("target")
         if target == "optimal":
-            target = theory_mod.optimal_theta_for_model(model, mu_max).theta
+            optimal = theory_mod.optimal_theta_for_model(model, mu_max)
+            target = optimal.theta
         else:
             target = np.asarray(target, dtype=float)
         a = policy_mod.build_hastings(topo, target)
     else:
         raise ConfigError(f"unknown weight rule {weights!r}")
-    return policy_mod.assemble(kind, a, support=topo)
+    return policy_mod.assemble(kind, a, support=topo), optimal
 
 
-def build_experiment(cfg: dict) -> sim_mod.SimConfig:
+def build_experiment(
+        cfg: dict) -> tuple[sim_mod.SimConfig, theory_mod.OptimalWeights | None]:
     """Resolve a config dict into the experiment: a ``SimConfig`` whose
     ``model``, ``policy`` and ``perron`` the reports read and which
-    ``sim.run`` steps."""
+    ``sim.run`` steps, and the optimal weights solved for a Hastings
+    target of ``"optimal"`` (None otherwise), which the report reuses."""
     try:
         topo = _build_topology(cfg["topology"])
         model = _build_model(cfg["model"], topo.n)
-        mus = np.asarray(cfg["mu"], dtype=float)
-        policy = _build_policy(cfg.get("policy", {}), topo, model,
-                               float(mus.max()))
-        return sim_mod.SimConfig(
+        mus = policy_mod._step_sizes(cfg["mu"], topo.n)
+        policy, optimal = _build_policy(cfg.get("policy", {}), topo, model,
+                                        float(mus.max()))
+        experiment = sim_mod.SimConfig(
             trials=int(cfg.get("trials", 100)),
             iters=int(cfg.get("iters", 10_000)),
             seed=int(cfg.get("seed", 0)),
@@ -128,22 +141,24 @@ def build_experiment(cfg: dict) -> sim_mod.SimConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    return experiment, optimal
 
 
-def theory_block(cfg: dict,
-                 experiment: sim_mod.SimConfig) -> tuple[dict, dict]:
+def theory_block(cfg: dict, experiment: sim_mod.SimConfig,
+                 optimal: theory_mod.OptimalWeights | None
+                 ) -> tuple[dict, dict]:
     """(report of the simulated topology, theory block) for a config whose
-    experiment is already built.
+    experiment, and with it any optimal weights, is already built.
 
     With ``compare_topologies`` the block holds one report per variant;
     each distinct topology is resolved once, and a variant equal to the
     simulated topology reuses its report.
     """
-    def report(exp):
-        return theory_mod.report_to_json(
-            theory_mod.build_report(exp.model, exp.policy, exp.perron))
+    def report(exp, optimal):
+        return theory_mod.report_to_json(theory_mod.build_report(
+            exp.model, exp.policy, exp.perron, optimal))
 
-    own = report(experiment)
+    own = report(experiment, optimal)
     variants = cfg.get("compare_topologies")
     if not variants:
         return own, own
@@ -152,7 +167,8 @@ def theory_block(cfg: dict,
     for variant in variants:
         key = json.dumps(variant, sort_keys=True)
         if key not in reports:
-            reports[key] = report(build_experiment(dict(cfg, topology=variant)))
+            reports[key] = report(
+                *build_experiment(dict(cfg, topology=variant)))
         blocks.append({"topology": variant, "theory": reports[key]})
     msds = [b["theory"]["msd_first_order"] for b in blocks]
     return own, {
@@ -202,8 +218,8 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
             cfg["seed"] = seed
         if strategy is not None:
             cfg.setdefault("policy", {})["kind"] = strategy
-        experiment = build_experiment(cfg)
-        own, theory = theory_block(cfg, experiment)
+        experiment, optimal = build_experiment(cfg)
+        own, theory = theory_block(cfg, experiment, optimal)
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -239,8 +255,8 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
 def cmd_theory(config_path: str) -> int:
     try:
         cfg = _load_config(config_path)
-        experiment = build_experiment(cfg)
-        own, block = theory_block(cfg, experiment)
+        experiment, optimal = build_experiment(cfg)
+        own, block = theory_block(cfg, experiment, optimal)
     except (AdaptNetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ModelError, ObservabilityError
 
 _SYM_TOL = 1e-12
+_SLICE_ENTRIES = 1 << 15  # entries of an (N, M, M) stack per bounded slice
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,34 @@ def noise_profile(n: int, seed: int, lo: float = 1e-3, hi: float = 1e-1,
     return 10.0 ** (np.log10(lo) + x * (np.log10(hi) - np.log10(lo)))
 
 
+def _block_slices(n: int, m: int) -> list[slice]:
+    """Slices of the agent axis of an (n, m, m) stack, each holding at most
+    ``_SLICE_ENTRIES`` entries (or one block), so that a temporary formed
+    slice by slice stays small whatever N is."""
+    step = max(1, _SLICE_ENTRIES // (m * m))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _agent_sum(r, *weights) -> np.ndarray:
+    """sum_k r_k w1_k w2_k ... of an (N, M, M) stack, each term multiplied
+    left to right and the terms added agent by agent in index order,
+    whatever r's layout: a stack broadcast over the agents (stride 0) gives
+    the bits of its contiguous copy.  einsum's default order follows the
+    strides; order "F" keeps the agent axis outermost.  With M = 1 the sum
+    runs over the agents alone, in an association that depends on the
+    operands, so the terms but for the last weight (N floats) are formed
+    first, as a stack of stored terms would hold them.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1] == 1:
+        for w in weights[:-1]:
+            r = r * np.asarray(w)[:, None, None]
+        r, weights = np.ascontiguousarray(r), weights[-1:]
+    subscripts = ",".join(["kij"] + ["k"] * len(weights)) + "->ij"
+    return np.einsum(subscripts, r, *weights, order="F",
+                     out=np.empty(r.shape[1:]))
+
+
 def _covariance_factor(r: np.ndarray) -> np.ndarray:
     """Square root F with F F^T = R; tolerates PSD-singular covariances."""
     try:
@@ -77,15 +106,16 @@ class LinearModel:
     """Per-agent Gaussian linear regression sharing one parameter vector.
 
     w_star    (M,) shared parameter
-    r_u       (N, M, M) per-agent regressor covariances, symmetric PSD
+    r_u       (N, M, M) per-agent regressor covariances, symmetric PSD;
+              kept as given, so a read-only block broadcast over the agents
+              stays one block
     sigma_n2  (N,) per-agent noise variances, nonnegative
     """
 
     w_star: np.ndarray
     r_u: np.ndarray
     sigma_n2: np.ndarray
-    _factors: np.ndarray = field(init=False, repr=False)
-    _identity_factors: bool = field(init=False, repr=False)
+    _factors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.w_star = np.asarray(self.w_star, dtype=float)
@@ -94,24 +124,39 @@ class LinearModel:
         if self.w_star.ndim != 1:
             raise ModelError("w_star must be one-dimensional")
         m = self.w_star.size
-        if self.r_u.ndim != 3 or self.r_u.shape[1:] != (m, m) or not len(self.r_u):
-            raise ModelError("r_u must have shape (N, M, M) with N >= 1")
-        if self.sigma_n2.shape != (len(self.r_u),):
-            raise ModelError("sigma_n2 must have one entry per agent")
-        for name in ("w_star", "r_u", "sigma_n2"):
-            if not np.isfinite(getattr(self, name)).all():
+        r = self.r_u
+        if r.ndim != 3 or r.shape[1:] != (m, m) or not len(r):
+            raise ModelError(f"r_u must have shape (N, {m}, {m}) with N >= 1, "
+                             f"not {r.shape}")
+        n = len(r)
+        if self.sigma_n2.shape != (n,):
+            raise ModelError(f"sigma_n2 must have one entry per agent ({n}), "
+                             f"not shape {self.sigma_n2.shape}")
+        # per-block extremes: NaN and inf reach them, and max(hi, -lo) is
+        # abs(R).max() exactly, with no (N, M, M) temporary
+        hi, lo = r.max(axis=(1, 2)), r.min(axis=(1, 2))
+        for name, values in (("w_star", self.w_star), ("r_u", (hi, lo)),
+                             ("sigma_n2", self.sigma_n2)):
+            if not np.isfinite(values).all():
                 raise ModelError(f"{name} has non-finite entries")
         if (self.sigma_n2 < 0).any():
             raise ModelError("noise variances must be nonnegative")
-        tol = _SYM_TOL * np.maximum(abs(self.r_u).max(axis=(1, 2)), 1.0)
-        asym = abs(self.r_u - self.r_u.transpose(0, 2, 1)).max(axis=(1, 2)) > tol
-        if asym.any():
-            raise ModelError(f"r_u[{np.argmax(asym)}] is not symmetric")
+        tol = _SYM_TOL * np.maximum(np.maximum(hi, -lo), 1.0)
+        eye, identity = np.eye(m), True
+        for s in _block_slices(n, m):
+            d = r[s] - r[s].transpose(0, 2, 1)
+            asym = np.abs(d, out=d).max(axis=(1, 2)) > tol[s]
+            if asym.any():
+                k = s.start + int(np.argmax(asym))
+                raise ModelError(f"r_u[{k}] is not symmetric")
+            identity = identity and bool((r[s] == eye).all())
+        if identity:  # every factor would be I: regressors_from_raw skips it
+            self._factors = None
+            return
         try:
-            self._factors = np.linalg.cholesky(self.r_u)
+            self._factors = np.linalg.cholesky(r)
         except np.linalg.LinAlgError:  # a singular or indefinite block
-            self._factors = np.stack([_covariance_factor(r) for r in self.r_u])
-        self._identity_factors = bool((self._factors == np.eye(m)).all())
+            self._factors = np.stack([_covariance_factor(b) for b in r])
 
     # --- basic geometry -------------------------------------------------
     @property
@@ -148,7 +193,7 @@ class LinearModel:
         rows = np.copy(raw[None] if single else raw, order="K")
         stream = np.swapaxes(rows, -1, -2).copy()  # (*steps, N*M + N, T)
         u = stream[..., : n * m, :].reshape(stream.shape[:-2] + (n, m, -1))
-        if not self._identity_factors:
+        if self._factors is not None:
             u = np.einsum("kij,...kjt->...kit", self._factors, u)
         noise = stream[..., n * m:, :]
         noise *= np.sqrt(self.sigma_n2)[:, None]
@@ -190,8 +235,10 @@ class LinearModel:
 
 
 def network_hessian(model, p) -> np.ndarray:
-    """Weighted gradient-Jacobian sum sum_k p_k H_k at the limit point."""
-    return np.einsum("k,kij->ij", np.asarray(p, dtype=float), 2.0 * model.r_u)
+    """Weighted gradient-Jacobian sum sum_k p_k H_k at the limit point,
+    2 sum_k p_k R_u,k: scaling by 2 is exact, so this is the sum of the
+    stacked 2 R_u,k bit for bit, with no (N, M, M) temporary."""
+    return 2.0 * _agent_sum(model.r_u, np.asarray(p, dtype=float))
 
 
 def _observable_hessian(model, p) -> tuple[np.ndarray, float]:

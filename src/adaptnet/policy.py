@@ -129,19 +129,31 @@ def second_eigenvalue_magnitude(a: np.ndarray) -> float:
     return float(mags[1])
 
 
+def _step_sizes(mus, n: int) -> np.ndarray:
+    """An (n,) copy of a step-size profile given as one scalar or one step
+    size per agent; ``ValueError`` unless every entry is finite and
+    nonnegative and one is positive."""
+    mus = np.asarray(mus, dtype=float)
+    if mus.shape not in ((), (n,)):
+        raise ValueError(f"got {mus.size} step sizes (shape {mus.shape}) for "
+                         f"{n} agents: give one, or one per agent")
+    mus = np.broadcast_to(mus, (n,)).copy()
+    if not np.isfinite(mus).all():
+        raise ValueError("step sizes must be finite")
+    if (mus < 0).any():
+        raise ValueError("step sizes must be nonnegative")
+    if not mus.max() > 0.0:
+        raise ValueError("at least one step size must be positive")
+    return mus
+
+
 def build_perron(policy: CombinationPolicy, mus) -> PerronData:
     """Perron data for an assembled policy and a step-size profile (one
     per agent, or a scalar for all): the step-size-weighted network
     weights p_k = (mu_k/mu_max) (A2 theta)_k."""
     theta = policy.theta
-    mus = np.broadcast_to(np.asarray(mus, dtype=float), theta.shape).copy()
-    if not np.isfinite(mus).all():
-        raise ValueError("step sizes must be finite")
-    if (mus < 0).any():
-        raise ValueError("step sizes must be nonnegative")
+    mus = _step_sizes(mus, theta.size)
     mu_max = float(mus.max())
-    if mu_max == 0.0:
-        raise ValueError("at least one step size must be positive")
     pi = policy.a2 @ theta
     p = (mus / mu_max) * pi
     return PerronData(theta=theta, pi=pi, p=p, mus=mus, mu_max=mu_max)

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .model import assumption_constants, network_hessian
+from .model import (_agent_sum, _block_slices, assumption_constants,
+                    network_hessian)
 from .numerics import solve_lyapunov_continuous, spectral_radius
 from .policy import CombinationPolicy, PerronData, second_eigenvalue_magnitude
 
@@ -51,9 +52,8 @@ class TheoryReport:
 
 def _effective_noise(rv_blocks, p) -> np.ndarray:
     """(p^T (x) I) R_v (p (x) I) for block-diagonal R_v: sum_k p_k^2 R_v,k."""
-    rv = np.asarray(rv_blocks, dtype=float)
     p = np.asarray(p, dtype=float)
-    return np.einsum("k,kij->ij", p ** 2, rv)
+    return _agent_sum(rv_blocks, p ** 2)
 
 
 def predict_weighted_mse(hc, rv_blocks, p, mu_max: float, sigma) -> float:
@@ -64,7 +64,10 @@ def predict_weighted_mse(hc, rv_blocks, p, mu_max: float, sigma) -> float:
 
 def predict_msd_identity(hc, rv_blocks, p, mu_max: float) -> float:
     """Sigma = I specialization through the analytic solution X = H_c^-1 / 2."""
-    r_eff = _effective_noise(rv_blocks, p)
+    return _msd_identity(hc, _effective_noise(rv_blocks, p), mu_max)
+
+
+def _msd_identity(hc, r_eff, mu_max: float) -> float:
     return float(0.5 * mu_max * np.trace(np.linalg.solve(hc, r_eff)))
 
 
@@ -91,6 +94,10 @@ def optimal_theta(h, rv_blocks, mu_max: float) -> OptimalWeights:
     rv = np.asarray(rv_blocks, dtype=float)
     # Tr(H^-1 R_v,k) = sum_ij (H^-1)_ij (R_v,k)_ji: one inverse for all agents
     traces = np.einsum("ij,kji->k", np.linalg.inv(np.asarray(h, dtype=float)), rv)
+    return _weights_from_traces(traces, mu_max)
+
+
+def _weights_from_traces(traces, mu_max: float) -> OptimalWeights:
     if (traces <= 1e-300).any():
         raise ValueError(
             "optimal weights are degenerate: some agent has zero noise trace"
@@ -100,35 +107,60 @@ def optimal_theta(h, rv_blocks, mu_max: float) -> OptimalWeights:
     return OptimalWeights(theta=theta, msd=float(0.5 * mu_max / inv.sum()))
 
 
+def _spread_from_first(r) -> float:
+    """max_k |r_k - r_0| entrywise, as max(max_k r_k - r_0, r_0 - min_k r_k):
+    rounding is monotone, so this is abs(r - r[0]).max() bit for bit, with
+    no (N, M, M) temporary."""
+    return float(max((r.max(axis=0) - r[0]).max(),
+                     (r[0] - r.min(axis=0)).max()))
+
+
 def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
     """Optimal weights from a model, after checking the shared-Hessian premise."""
-    h0 = 2.0 * model.r_u[0]
+    r = model.r_u
+    h0 = 2.0 * r[0]
     scale = max(1.0, float(np.abs(h0).max()))
-    # max_k |H_k - H_0| with H_k = 2 R_u,k, through one (N, M, M) temporary
-    if 2.0 * abs(model.r_u - model.r_u[0]).max() > 1e-12 * scale:
+    # max_k |H_k - H_0| with H_k = 2 R_u,k
+    if 2.0 * _spread_from_first(r) > 1e-12 * scale:
         raise ContractError(
             "optimal weights assume identical Hessians across agents"
         )
-    return optimal_theta(h0, model.rv_blocks(), mu_max)
+    # the traces of optimal_theta(h0, model.rv_blocks(), mu_max), each
+    # R_v,k = 4 sigma_k^2 R_u,k formed a bounded slice of agents at a time
+    hinv = np.linalg.inv(h0)
+    four_s2 = 4.0 * model.sigma_n2[:, None, None]
+    traces = np.concatenate([
+        np.einsum("ij,kji->k", hinv, four_s2[s] * r[s])
+        for s in _block_slices(*r.shape[:2])])
+    return _weights_from_traces(traces, mu_max)
 
 
-def build_report(model, policy: CombinationPolicy,
-                 perron: PerronData) -> TheoryReport:
-    """Assemble every closed-form prediction for one configuration."""
+def build_report(model, policy: CombinationPolicy, perron: PerronData,
+                 optimal: OptimalWeights | None = None) -> TheoryReport:
+    """Assemble every closed-form prediction for one configuration.
+
+    ``optimal``: the weights ``optimal_theta_for_model(model,
+    perron.mu_max)`` already returned, reused instead of a second solve.
+    Every sum over the agents is an M x M sum formed from ``model.r_u``.
+    """
     p = perron.p
     hc = network_hessian(model, p)
-    rv = model.rv_blocks()
     consts = assumption_constants(model, p)  # raises if H_c is singular
     # H_c is symmetric (LinearModel enforces symmetric R_u), so Sigma = I
     # gives X = H_c^-1 / 2 and Sigma = H_c / 2 gives X = I / 4
     x = np.linalg.inv(hc)
     x = 0.25 * (x + x.T)
-    msd = predict_msd_identity(hc, rv, p, perron.mu_max)
-    weighted = float(0.25 * perron.mu_max * np.trace(_effective_noise(rv, p)))
-    try:
-        theta_opt, msd_opt = optimal_theta_for_model(model, perron.mu_max)
-    except (ContractError, ValueError):
-        theta_opt = msd_opt = None
+    # sum_k p_k^2 R_v,k with each term (R_u,k 4 sigma_k^2) p_k^2: the bits of
+    # _effective_noise(model.rv_blocks(), p)
+    r_eff = _agent_sum(model.r_u, 4.0 * model.sigma_n2, p ** 2)
+    msd = _msd_identity(hc, r_eff, perron.mu_max)
+    weighted = float(0.25 * perron.mu_max * np.trace(r_eff))
+    if optimal is None:
+        try:
+            optimal = optimal_theta_for_model(model, perron.mu_max)
+        except (ContractError, ValueError):
+            pass
+    theta_opt, msd_opt = optimal or (None, None)
     return TheoryReport(
         hc=hc,
         x=x,

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaptnet import policy as policy_mod
-from adaptnet.cli import main
+from adaptnet import theory as theory_mod
+from adaptnet.cli import build_experiment, main
 
 TINY_CONFIG = {
     "seed": 1,
@@ -124,6 +126,70 @@ def test_perron_vector_is_solved_once(tmp_path, monkeypatch, capsys, command):
     assert calls == {"perron_vector": 1, "is_primitive": 1}
 
 
+@pytest.mark.parametrize("command", ["run", "theory"])
+@pytest.mark.parametrize("weights", ["optimal", "metropolis"])
+def test_optimal_weights_are_solved_once(tmp_path, monkeypatch, command,
+                                         weights):
+    calls = []
+    real = theory_mod.optimal_theta_for_model
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theory_mod, "optimal_theta_for_model", spy)
+    policy = ({"kind": "atc", "weights": "hastings", "target": "optimal"}
+              if weights == "optimal" else TINY_CONFIG["policy"])
+    cfg = write_config(tmp_path, dict(TINY_CONFIG, policy=policy))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+class TestMemory:
+    """numpy reports its allocations to tracemalloc.  ring(200) with M = 60
+    and identity covariances: one (N, M, M) float stack is 5.76 MB, far
+    above the N x N pieces (0.32 MB each)."""
+
+    N, M = 200, 60
+    CONFIG = {
+        "seed": 1,
+        "topology": {"kind": "ring", "n": N},
+        "model": {"m": M, "w_star": {"kind": "seeded_unit", "seed": 1},
+                  "r_u": "identity",
+                  "sigma_n2": {"kind": "log_uniform", "seed": 1}},
+        "policy": {"kind": "atc", "weights": "hastings", "target": "optimal"},
+        "mu": 1e-4,
+    }
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_experiment_stays_below_one_stack(self):
+        (experiment, optimal), peak = self.traced_peak(
+            lambda: build_experiment(self.CONFIG))
+        assert peak < self.N * self.M ** 2 * 8
+        assert experiment.model.r_u.strides[0] == 0
+        assert experiment.model._factors is None
+        assert optimal is not None
+
+    def test_report_forms_m_by_m_sums_only(self):
+        experiment, _ = build_experiment(self.CONFIG)
+        report, peak = self.traced_peak(lambda: theory_mod.build_report(
+            experiment.model, experiment.policy, experiment.perron))
+        assert peak < 1e6
+        assert report.theta_opt is not None
+
+
 class TestCompareTopologies:
     def test_deltas_use_the_simulated_topology(self, tmp_path):
         # a 5-node star compared with a ring: the star's report, not the
@@ -202,6 +268,32 @@ class TestTheory:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 3
         assert "step sizes must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize("field, value, sizes", [
+        ("mu", [1e-3, 1e-3], ["got 2 step sizes", "for 30 agents"]),
+        ("mu", [], ["got 0 step sizes", "for 30 agents"]),
+        ("r_u", np.eye(2).tolist(), ["(10, 10)", "(30, 10, 10)", "(2, 2)"]),
+        ("r_u", np.ones((3, 1, 1)).tolist(),
+         ["(10, 10)", "(30, 10, 10)", "(3, 1, 1)"]),
+    ])
+    def test_shape_errors_name_the_sizes(self, tmp_path, capsys, command,
+                                         field, value, sizes):
+        preset = tmp_path / "fig4.json"
+        assert main(["preset", "fig4", "--out", str(preset)]) == 0
+        cfg = json.loads(preset.read_text())
+        if field == "mu":
+            cfg["mu"] = value
+        else:
+            cfg["model"]["r_u"] = value
+        argv = [command, "--config", str(write_config(tmp_path, cfg))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        for size in sizes:
+            assert size in err
 
     def test_single_agent_baseline_value(self, tmp_path, capsys):
         # one agent, dimension 10, unit covariance, noise 0.1, mu 1e-3:

@@ -5,7 +5,7 @@ from adaptnet import (AssumptionConstants, LinearModel, assumption_constants,
                       check_network_observability, limit_point,
                       network_hessian, noise_profile)
 from adaptnet.errors import ModelError, ObservabilityError
-from adaptnet.model import _covariance_factor
+from adaptnet.model import _block_slices, _covariance_factor
 
 
 def make_model(m=2, n=2, r_u=None, sigma_n2=None, w_star=None):
@@ -77,6 +77,34 @@ class TestValidation:
             model = make_model(m=4, n=len(stack), r_u=stack)
             assert np.array_equal(
                 model._factors, [_covariance_factor(r) for r in stack])
+
+    def test_asymmetric_block_past_the_first_slice_is_named(self):
+        n, m = 600, 16
+        r_u = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+        r_u[450, 3, 9] += 1e-6
+        assert _block_slices(n, m)[0].stop <= 450
+        with pytest.raises(ModelError, match=r"r_u\[450\] is not symmetric"):
+            make_model(m=m, n=n, r_u=r_u)
+
+    def test_shape_error_names_the_sizes(self):
+        with pytest.raises(ModelError, match=r"\(N, 2, 2\).*\(3, 1, 1\)"):
+            make_model(m=2, n=3, r_u=np.ones((3, 1, 1)))
+        with pytest.raises(ModelError, match=r"one entry per agent \(3\)"):
+            make_model(m=2, n=3, sigma_n2=[0.1, 0.1])
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_identity_model_keeps_no_factor_stack(self, view):
+        r_u = np.broadcast_to(np.eye(3), (5, 3, 3))
+        model = make_model(m=3, n=5, r_u=r_u if view else r_u.copy())
+        assert model._factors is None
+        assert model.r_u.strides[0] == (0 if view else 72)
+        # skipping the transform is applying the identity factors
+        factored = make_model(m=3, n=5)
+        factored._factors = np.linalg.cholesky(r_u)
+        raw = np.random.default_rng(2).standard_normal((4, 7, 20))
+        for got, want in zip(model.regressors_from_raw(raw),
+                             factored.regressors_from_raw(raw)):
+            assert np.array_equal(got, want)
 
     def test_singular_psd_covariance_accepted(self):
         model = complementary_pair()
@@ -230,6 +258,22 @@ class TestHessians:
                               np.einsum("k,kij->ij", p, stacked))
         lam_max = max(np.linalg.eigvalsh(r).max() for r in model.r_u)
         assert assumption_constants(model, p).lambda_u == 2.0 * lam_max
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 1), (30, 2), (40, 5),
+                                      (300, 12)])
+    def test_sum_is_bit_identical_for_stacks_and_broadcasts(self, n, m):
+        # sum_k p_k (2 R_k) as einsum sums the stacked 2 R_k, for a random
+        # stack and for one block broadcast over the agents
+        rng = np.random.default_rng(n + m)
+        g = rng.standard_normal((n, m, m))
+        p = rng.random(n)
+        p /= p.sum()
+        block = g[0] @ g[0].T
+        for r_u in (g @ g.transpose(0, 2, 1),
+                    np.broadcast_to(block, (n, m, m))):
+            want = np.einsum("k,kij->ij", p, 2.0 * np.ascontiguousarray(r_u))
+            assert np.array_equal(network_hessian(make_model(
+                m=m, n=n, r_u=r_u), p), want)
 
     def test_rank_deficient_pair_is_jointly_definite(self):
         hc = network_hessian(complementary_pair(), [0.5, 0.5])

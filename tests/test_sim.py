@@ -586,6 +586,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="step sizes must be finite"):
             small_config(n=2, mu=mu)
 
+    @pytest.mark.parametrize("mu, count", [([1e-3, 1e-3], 2), ([], 0),
+                                           ([[1e-3]] * 3, 3)])
+    def test_step_size_count_is_named(self, mu, count):
+        with pytest.raises(ValueError,
+                           match=rf"got {count} step sizes .* for 3 agents"):
+            small_config(n=3, mu=mu)
+
     def test_perron_data_is_derived_and_frozen(self):
         cfg = small_config(mu=[1e-3, 2e-3, 4e-3], kind="cta")
         want = build_perron(cfg.policy, cfg.mus)

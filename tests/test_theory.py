@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from adaptnet import (AssumptionConstants, LinearModel, assemble,
-                      build_hastings, build_perron, build_report,
+                      build_hastings, build_metropolis, build_perron,
+                      build_report,
                       convergence_rate, network_hessian, noise_profile,
                       optimal_theta, optimal_theta_for_model,
                       predict_msd_identity, predict_weighted_mse,
                       random_geometric, report_to_json, ring,
                       stable_step_bound)
+from adaptnet import theory as theory_mod
 from adaptnet.errors import ContractError
+from adaptnet.model import _block_slices
+from adaptnet.theory import _spread_from_first
 
 
 def identity_blocks(n, m, scale):
@@ -135,6 +139,37 @@ class TestOptimalTheta:
         with pytest.raises(ContractError):
             optimal_theta_for_model(model, 1e-3)
 
+    def test_spread_is_the_absolute_deviation_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1, 1), (7, 3, 3), (50, 8, 8)):
+            r = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            assert _spread_from_first(r) == abs(r - r[0]).max()
+
+    def test_hessian_mismatch_past_the_first_slice_is_caught(self):
+        n, m = 600, 16
+        r_u = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+        r_u[450, 2, 2] += 1e-9
+        model = LinearModel(w_star=np.zeros(m), r_u=r_u,
+                            sigma_n2=np.full(n, 0.1))
+        with pytest.raises(ContractError):
+            optimal_theta_for_model(model, 1e-3)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (30, 10), (301, 40)])
+    def test_model_wrapper_matches_the_stacked_noise_bit_for_bit(self, n, m):
+        # at (301, 40) the last bounded slice holds a single block
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((m, m))
+        block = g @ g.T / m + np.eye(m)
+        model = LinearModel(w_star=np.zeros(m),
+                            r_u=np.broadcast_to(block, (n, m, m)),
+                            sigma_n2=rng.uniform(1e-3, 1e-1, n))
+        got = optimal_theta_for_model(model, 1e-3)
+        want = optimal_theta(2.0 * block, model.rv_blocks(), 1e-3)
+        assert np.array_equal(got.theta, want.theta)
+        assert got.msd == want.msd
+        if (n, m) == (301, 40):
+            assert len(range(n)[_block_slices(n, m)[-1]]) == 1
+
     def test_matches_per_agent_solves_at_scale(self):
         rng = np.random.default_rng(11)
         n, m = 300, 40
@@ -223,3 +258,49 @@ class TestReportSerialization:
         assert 0.0 < obj["rate"] < 1.0
         assert obj["lambda2"] < 1.0
         assert "approximation" in obj
+
+
+class TestBuildReport:
+    @pytest.mark.parametrize("n, m", [(9, 1), (12, 4)])
+    @pytest.mark.parametrize("view", [False, True])
+    def test_noise_sums_match_the_stacked_noise_bit_for_bit(self, n, m, view):
+        # random blocks and step sizes: sum_k p_k^2 R_v,k formed from r_u
+        # gives the bits of the sum over the stacked R_v,k
+        rng = np.random.default_rng(6 + m)
+        g = rng.standard_normal((n, m, m))
+        r_u = g @ g.transpose(0, 2, 1) + np.eye(m)
+        if view:
+            r_u = np.broadcast_to(r_u[0], (n, m, m))
+        model = LinearModel(w_star=np.zeros(m), r_u=r_u,
+                            sigma_n2=rng.uniform(1e-3, 1e-1, n))
+        topo = ring(n)
+        policy = assemble("cta", build_metropolis(topo), support=topo)
+        perron = build_perron(policy, rng.uniform(1e-5, 1e-4, n))
+        report = build_report(model, policy, perron)
+        p, mu = perron.p, perron.mu_max
+        r_eff = np.einsum("k,kij->ij", p ** 2, model.rv_blocks())
+        hc = np.einsum("k,kij->ij", p, 2.0 * np.ascontiguousarray(r_u))
+        assert np.array_equal(report.hc, hc)
+        assert report.msd_first_order == float(
+            0.5 * mu * np.trace(np.linalg.solve(hc, r_eff)))
+        assert report.weighted_mse_hc_half == float(
+            0.25 * mu * np.trace(r_eff))
+
+    def test_reuses_the_given_optimal_weights(self, monkeypatch):
+        n, m = 6, 3
+        topo = ring(n)
+        model = LinearModel(w_star=np.zeros(m),
+                            r_u=np.broadcast_to(np.eye(m), (n, m, m)),
+                            sigma_n2=noise_profile(n, 2))
+        optimal = optimal_theta_for_model(model, 1e-3)
+        policy = assemble("atc", build_hastings(topo, optimal.theta),
+                          support=topo)
+        perron = build_perron(policy, 1e-3)
+        solved = report_to_json(build_report(model, policy, perron))
+
+        def unexpected(*args):
+            raise AssertionError("optimal weights solved again")
+
+        monkeypatch.setattr(theory_mod, "optimal_theta_for_model", unexpected)
+        reused = report_to_json(build_report(model, policy, perron, optimal))
+        assert reused == solved
