@@ -5,9 +5,11 @@ step size,
 
     mse(Sigma) = mu_max * Tr{ X * sum_k p_k^2 R_v,k },   H^T X + X H = Sigma
 
-where H is the p-weighted sum of the agents' Hessians and R_v,k the
-gradient-noise covariances.  Two independent routes compute X here: the
-vectorized linear solve and numerical quadrature of the integral form.
+where H is the p-weighted sum of the agents' Hessians and R_v,k =
+4 sigma_k^2 R_u,k the gradient-noise covariances.  Two independent routes
+compute X here, the vectorized linear solve and numerical quadrature of
+the integral form; the report's closed forms (X = H^-1 / 2 for Sigma = I,
+X = I / 4 for Sigma = H / 2) must agree with them.
 """
 
 import numpy as np
@@ -15,9 +17,8 @@ import numpy as np
 from adaptnet import (LinearModel, assemble, assumption_constants,
                       build_metropolis, build_perron, build_report,
                       convergence_rate, lyapunov_quadrature_oracle,
-                      network_hessian, predict_msd_identity,
-                      predict_weighted_mse, report_to_json, ring,
-                      solve_lyapunov_continuous, stable_step_bound)
+                      report_to_json, ring, solve_lyapunov_continuous,
+                      stable_step_bound)
 
 # --- the two Lyapunov routes agree --------------------------------------
 rng = np.random.default_rng(0)
@@ -39,18 +40,21 @@ model = LinearModel(
     sigma_n2=np.array([0.002, 0.01, 0.05, 0.02, 0.1]),
 )
 perron = build_perron(policy, mu)
-hc = network_hessian(model, perron.p)
-rv = model.rv_blocks()
+report = build_report(model, policy, perron)
+hc = report.hc
+# sum_k p_k^2 R_v,k, the network's effective gradient noise
+r_eff = np.einsum("k,kij->ij", perron.p ** 2,
+                  4.0 * model.sigma_n2[:, None, None] * model.r_u)
 
-msd = predict_weighted_mse(hc, rv, perron.p, mu, np.eye(m))
+msd = mu * np.trace(solve_lyapunov_continuous(hc, np.eye(m)) @ r_eff)
 print(f"\npredicted steady-state MSD: {msd:.3e} "
       f"({10 * np.log10(msd):.2f} dB), identical for every agent")
-print("identity-weighting shortcut agrees:",
-      np.isclose(predict_msd_identity(hc, rv, perron.p, mu), msd, atol=1e-12))
+print("the report's identity-weighting closed form agrees:",
+      np.isclose(report.msd_first_order, msd, atol=1e-12))
 
-half = predict_weighted_mse(hc, rv, perron.p, mu, hc / 2.0)
-closed = mu / 4 * sum(p_k ** 2 * np.trace(r) for p_k, r in zip(perron.p, rv))
-print(f"H/2-weighted error {half:.3e} vs its closed form {closed:.3e}")
+half = mu * np.trace(solve_lyapunov_continuous(hc, hc / 2.0) @ r_eff)
+print(f"H/2-weighted error {half:.3e} vs its closed form "
+      f"{report.weighted_mse_hc_half:.3e}")
 
 # --- rate, stability bound, and the bundled report ------------------------
 consts = assumption_constants(model, perron.p)
@@ -58,7 +62,6 @@ print(f"\nper-step MSE contraction: {convergence_rate(hc, mu):.6f}")
 print(f"safe step-size bound:     {stable_step_bound(consts, perron.p):.3e} "
       f"(running at mu = {mu:.0e})")
 
-report = build_report(model, policy, perron)
 block = report_to_json(report)
 print("\nfull report fields:", sorted(block))
 print(f"optimal weights would reach {block['msd_opt_db']:.2f} dB "

@@ -9,8 +9,8 @@ same performance on a completely different graph.
 
 import numpy as np
 
-from adaptnet import (LinearModel, SimConfig, assemble, build_hastings,
-                      build_perron, build_report, check_network_observability,
+from adaptnet import (LinearModel, SimConfig, assemble, assumption_constants,
+                      build_hastings, build_perron, build_report,
                       noise_profile, optimal_theta_for_model, run)
 from adaptnet.topology import random_geometric, ring
 
@@ -25,8 +25,10 @@ w_star /= np.linalg.norm(w_star)
 model = LinearModel(w_star=w_star,
                     r_u=np.broadcast_to(np.eye(m), (n, m, m)).copy(),
                     sigma_n2=sigma_n2)
-ok, lam_min = check_network_observability(model, np.full(n, 1 / n))
-print(f"network observability: {ok} (lambda_min {lam_min:.2f})")
+# raises ObservabilityError when H_c = 2 sum_k p_k R_u,k is singular
+lam_l = assumption_constants(model, np.full(n, 1 / n)).lambda_l
+print(f"network observability: lambda_min(sum_k p_k R_u,k) = "
+      f"{lam_l / 2:.2f} > 0")
 
 # radius 0.85 keeps the graph well mixed; a bottlenecked graph (try
 # radius 0.7, seed 6: one leaf reachable only through the noisiest agent)

@@ -11,10 +11,9 @@ from .errors import (AccuracyError, AdaptNetError, ConfigError,
                      ModelError, NumericalError, ObservabilityError,
                      StabilityError, StructureError)
 from .model import (AssumptionConstants, LinearModel, assumption_constants,
-                    check_network_observability, limit_point, network_hessian,
-                    noise_profile)
+                    limit_point, network_hessian, noise_profile)
 from .numerics import (lyapunov_quadrature_oracle, matrix_exponential,
-                       solve_lyapunov_continuous, spectral_radius)
+                       solve_lyapunov_continuous)
 from .policy import (CombinationPolicy, PerronData, assemble, build_hastings,
                      build_metropolis, build_perron, build_uniform_averaging,
                      is_primitive, perron_vector, policy_to_json,
@@ -24,9 +23,8 @@ from .sim import (LearningCurves, SimConfig, decomposition_diagnostics,
 from .strategy import (reference_error_curve, step_centralized,
                        step_distributed, step_reference)
 from .theory import (OptimalWeights, TheoryReport, build_report,
-                     convergence_rate, optimal_theta, optimal_theta_for_model,
-                     predict_msd_identity, predict_weighted_mse,
-                     report_to_json, stable_step_bound)
+                     convergence_rate, optimal_theta_for_model, report_to_json,
+                     stable_step_bound)
 from .topology import Topology, from_edges, is_connected, random_geometric, ring
 
 __version__ = "0.1.0"

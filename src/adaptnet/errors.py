@@ -36,7 +36,12 @@ class ModelError(AdaptNetError):
 
 class ObservabilityError(AdaptNetError):
     """The weighted covariance sum is singular: the network cannot
-    identify a unique limit point."""
+    identify a unique limit point.  ``extreme`` is the least eigenvalue
+    of the weighted Hessian sum."""
+
+    def __init__(self, message, extreme=None):
+        super().__init__(message)
+        self.extreme = extreme
 
 
 class ContractError(AdaptNetError):

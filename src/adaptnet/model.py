@@ -4,9 +4,11 @@ Every agent observes scalar measurements d = u w* + n with its own
 regressor covariance R_u,k and noise power sigma_n,k^2; all agents share
 the unknown parameter vector w*.  The model exposes everything the
 strategy and theory layers need, every form covering the whole network:
-samples, stochastic and true gradients, the gradient-noise covariance
-blocks, Hessians, the constants appearing in the step-size bound, and the
-network limit point, which is w* itself.
+samples, stochastic and true gradients, the weighted network Hessian, the
+constants appearing in the step-size bound, and the network limit point,
+which is w* itself.  The gradient-noise covariance at w*, R_v,k =
+4 sigma_n,k^2 R_u,k, is never stacked: ``theory`` forms its sums from
+``r_u`` and ``sigma_n2``.
 """
 
 from __future__ import annotations
@@ -227,12 +229,6 @@ class LinearModel:
         delta = np.asarray(w, dtype=float) - self.w_star
         return 2.0 * np.einsum("kij,j->ki", self.r_u, delta)
 
-    # --- second-order quantities ------------------------------------------
-    def rv_blocks(self) -> np.ndarray:
-        """Block-diagonal network gradient-noise covariance at w*, as
-        (N, M, M): block k is 4 sigma_n,k^2 R_u,k."""
-        return 4.0 * self.sigma_n2[:, None, None] * self.r_u
-
 
 def network_hessian(model, p) -> np.ndarray:
     """Weighted gradient-Jacobian sum sum_k p_k H_k at the limit point,
@@ -249,22 +245,10 @@ def _observable_hessian(model, p) -> tuple[np.ndarray, float]:
     if lam_l <= 1e-10:
         raise ObservabilityError(
             f"weighted Hessian sum is singular (min eigenvalue {lam_l:.3e}); "
-            "the model is not jointly observable"
+            "the model is not jointly observable",
+            extreme=lam_l,
         )
     return hc, lam_l
-
-
-def check_network_observability(model, p) -> tuple[bool, float]:
-    """Whether sum_k p_k R_u,k is positive definite, plus its min eigenvalue.
-
-    Individual agents may be unidentifiable (singular R_u,k); the network
-    can still determine the common parameter when the weighted sum is PD.
-    If it holds for one positive weight vector it holds for all.
-    """
-    p = np.asarray(p, dtype=float)
-    s = np.einsum("k,kij->ij", p, model.r_u)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
-    return lam_min > 1e-10, lam_min
 
 
 def assumption_constants(model, p) -> AssumptionConstants:
@@ -276,10 +260,12 @@ def assumption_constants(model, p) -> AssumptionConstants:
               on E||R - u^T u||^2 (conservative; feeds the step-size bound).
     sigma_v2: 4 max_k sigma_n,k^2 Tr(R_u,k) = max_k E||2 u^T n||^2.
     """
-    lam_max = float(np.linalg.eigvalsh(model.r_u).max())
+    r = model.r_u
+    # a block broadcast over the agents (stride 0) is decomposed once
+    lam_max = float(np.linalg.eigvalsh(r[0] if r.strides[0] == 0 else r).max())
     _, lam_l = _observable_hessian(model, p)
-    traces = np.einsum("kii->k", model.r_u)
-    sq_traces = np.einsum("kij,kji->k", model.r_u, model.r_u)
+    traces = np.einsum("kii->k", r)
+    sq_traces = np.einsum("kij,kji->k", r, r)
     alpha = 4.0 * float((traces ** 2 + sq_traces).max())
     sigma_v2 = 4.0 * float((model.sigma_n2 * traces).max())
     return AssumptionConstants(lambda_l=lam_l, lambda_u=2.0 * lam_max,

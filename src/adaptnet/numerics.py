@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels for the steady-state analysis.
 
-Lyapunov equations are solved by Kronecker vectorization, O(M^6), which
-serves arbitrary weightings Sigma only: ``theory.build_report`` uses closed
-forms for symmetric H_c instead.  A quadrature oracle evaluates the
-equivalent integral form so the two routes can cross-check each other.
+Lyapunov equations are solved by Kronecker vectorization, O(M^6).  No
+package path calls the solver: ``theory.build_report`` uses the closed
+forms for symmetric H_c (X = H_c^-1 / 2 for Sigma = I).  The solver and a
+quadrature oracle, which evaluates the equivalent integral form, stay as
+two independent routes that cross-check each other and those closed forms
+(the acceptance battery's Lyapunov criterion, demo 02 and the theory
+tests).
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ def _square(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude."""
-    return float(np.abs(np.linalg.eigvals(_square(m))).max())
 
 
 def matrix_exponential(m) -> np.ndarray:

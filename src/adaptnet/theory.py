@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError
 from .model import (_agent_sum, _block_slices, assumption_constants,
                     network_hessian)
-from .numerics import solve_lyapunov_continuous, spectral_radius
+from .numerics import _square
 from .policy import CombinationPolicy, PerronData, second_eigenvalue_magnitude
 
 _APPROXIMATION_NOTE = (
@@ -50,31 +50,12 @@ class TheoryReport:
     msd_opt: float | None = None
 
 
-def _effective_noise(rv_blocks, p) -> np.ndarray:
-    """(p^T (x) I) R_v (p (x) I) for block-diagonal R_v: sum_k p_k^2 R_v,k."""
-    p = np.asarray(p, dtype=float)
-    return _agent_sum(rv_blocks, p ** 2)
-
-
-def predict_weighted_mse(hc, rv_blocks, p, mu_max: float, sigma) -> float:
-    """First-order steady-state weighted MSE, identical for every agent."""
-    x = solve_lyapunov_continuous(hc, sigma)
-    return float(mu_max * np.trace(x @ _effective_noise(rv_blocks, p)))
-
-
-def predict_msd_identity(hc, rv_blocks, p, mu_max: float) -> float:
-    """Sigma = I specialization through the analytic solution X = H_c^-1 / 2."""
-    return _msd_identity(hc, _effective_noise(rv_blocks, p), mu_max)
-
-
-def _msd_identity(hc, r_eff, mu_max: float) -> float:
-    return float(0.5 * mu_max * np.trace(np.linalg.solve(hc, r_eff)))
-
-
 def convergence_rate(hc, mu_max: float) -> float:
-    """Squared spectral radius of I - mu_max H_c: the per-step MSE contraction."""
-    hc = np.asarray(hc, dtype=float)
-    return float(spectral_radius(np.eye(hc.shape[0]) - mu_max * hc) ** 2)
+    """Squared spectral radius of I - mu_max H_c, the per-step MSE
+    contraction: max_i (1 - mu_max lambda_i)^2 over the eigenvalues of the
+    symmetric H_c."""
+    lam = np.linalg.eigvalsh(_square(hc))
+    return float(((1.0 - mu_max * lam) ** 2).max())
 
 
 def stable_step_bound(consts, p) -> float:
@@ -82,29 +63,6 @@ def stable_step_bound(consts, p) -> float:
     p_l1 = float(np.abs(np.asarray(p, dtype=float)).sum())
     return consts.lambda_l / (p_l1 ** 2 * (consts.lambda_u ** 2 / 2.0
                                            + 2.0 * consts.alpha))
-
-
-def optimal_theta(h, rv_blocks, mu_max: float) -> OptimalWeights:
-    """MSE-optimal Perron weights for agents sharing one Hessian.
-
-    theta_k is proportional to 1 / Tr(H^-1 R_v,k); the attained MSD is
-    (mu_max / 2) / sum_l Tr(H^-1 R_v,l)^-1.  Requires every agent's noise
-    trace to be positive (a noiseless agent would take all the weight).
-    """
-    rv = np.asarray(rv_blocks, dtype=float)
-    # Tr(H^-1 R_v,k) = sum_ij (H^-1)_ij (R_v,k)_ji: one inverse for all agents
-    traces = np.einsum("ij,kji->k", np.linalg.inv(np.asarray(h, dtype=float)), rv)
-    return _weights_from_traces(traces, mu_max)
-
-
-def _weights_from_traces(traces, mu_max: float) -> OptimalWeights:
-    if (traces <= 1e-300).any():
-        raise ValueError(
-            "optimal weights are degenerate: some agent has zero noise trace"
-        )
-    inv = 1.0 / traces
-    theta = inv / inv.sum()
-    return OptimalWeights(theta=theta, msd=float(0.5 * mu_max / inv.sum()))
 
 
 def _spread_from_first(r) -> float:
@@ -116,7 +74,13 @@ def _spread_from_first(r) -> float:
 
 
 def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
-    """Optimal weights from a model, after checking the shared-Hessian premise."""
+    """MSE-optimal Perron weights for agents sharing one Hessian H.
+
+    theta_k is proportional to 1 / Tr(H^-1 R_v,k); the attained MSD is
+    (mu_max / 2) / sum_l Tr(H^-1 R_v,l)^-1.  Raises ``ContractError`` when
+    the agents' Hessians differ, and ``ValueError`` when some agent's noise
+    trace is zero (a noiseless agent would take all the weight).
+    """
     r = model.r_u
     h0 = 2.0 * r[0]
     scale = max(1.0, float(np.abs(h0).max()))
@@ -125,14 +89,20 @@ def optimal_theta_for_model(model, mu_max: float) -> OptimalWeights:
         raise ContractError(
             "optimal weights assume identical Hessians across agents"
         )
-    # the traces of optimal_theta(h0, model.rv_blocks(), mu_max), each
+    # Tr(H^-1 R_v,k) = sum_ij (H^-1)_ij (R_v,k)_ji from one inverse, each
     # R_v,k = 4 sigma_k^2 R_u,k formed a bounded slice of agents at a time
     hinv = np.linalg.inv(h0)
     four_s2 = 4.0 * model.sigma_n2[:, None, None]
     traces = np.concatenate([
         np.einsum("ij,kji->k", hinv, four_s2[s] * r[s])
         for s in _block_slices(*r.shape[:2])])
-    return _weights_from_traces(traces, mu_max)
+    if (traces <= 1e-300).any():
+        raise ValueError(
+            "optimal weights are degenerate: some agent has zero noise trace"
+        )
+    inv = 1.0 / traces
+    return OptimalWeights(theta=inv / inv.sum(),
+                          msd=float(0.5 * mu_max / inv.sum()))
 
 
 def build_report(model, policy: CombinationPolicy, perron: PerronData,
@@ -150,10 +120,10 @@ def build_report(model, policy: CombinationPolicy, perron: PerronData,
     # gives X = H_c^-1 / 2 and Sigma = H_c / 2 gives X = I / 4
     x = np.linalg.inv(hc)
     x = 0.25 * (x + x.T)
-    # sum_k p_k^2 R_v,k with each term (R_u,k 4 sigma_k^2) p_k^2: the bits of
-    # _effective_noise(model.rv_blocks(), p)
+    # sum_k p_k^2 R_v,k with R_v,k = 4 sigma_k^2 R_u,k: each term formed as
+    # (R_u,k 4 sigma_k^2) p_k^2, the terms summed in index order
     r_eff = _agent_sum(model.r_u, 4.0 * model.sigma_n2, p ** 2)
-    msd = _msd_identity(hc, r_eff, perron.mu_max)
+    msd = float(0.5 * perron.mu_max * np.trace(np.linalg.solve(hc, r_eff)))
     weighted = float(0.25 * perron.mu_max * np.trace(r_eff))
     if optimal is None:
         try:

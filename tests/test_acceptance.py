@@ -20,11 +20,11 @@ step-halving check stays on the raw levels.
 import numpy as np
 import pytest
 
-from adaptnet import (LinearModel, SimConfig, assemble, build_hastings,
-                      build_metropolis, build_perron, build_report,
-                      check_network_observability, convergence_rate,
-                      fit_geometric_rate, is_primitive, noise_profile,
-                      predict_weighted_mse, random_geometric, ring, run,
+from adaptnet import (LinearModel, ObservabilityError, SimConfig, assemble,
+                      assumption_constants, build_hastings, build_metropolis,
+                      build_perron, build_report, convergence_rate,
+                      fit_geometric_rate, is_primitive, limit_point,
+                      noise_profile, random_geometric, ring, run,
                       solve_lyapunov_continuous, lyapunov_quadrature_oracle)
 from conftest import (DIM, ITERS, MU, N_AGENTS, TRIALS, canonical_model,
                       canonical_run, db)
@@ -228,10 +228,12 @@ def test_c09_partial_observation():
         single = LinearModel(w_star=model.w_star,
                              r_u=model.r_u[k][None].copy(),
                              sigma_n2=model.sigma_n2[k:k + 1])
-        ok, lam = check_network_observability(single, [1.0])
-        assert not ok and abs(lam) < 1e-12
-    ok, lam = check_network_observability(model, [0.5, 0.5])
-    assert ok and lam == pytest.approx(0.5)
+        with pytest.raises(ObservabilityError) as exc:
+            limit_point(single, [1.0])
+        assert abs(exc.value.extreme) < 1e-12
+    # lambda_l is the least eigenvalue of H_c = 2 sum_k p_k R_u,k
+    lam_l = assumption_constants(model, [0.5, 0.5]).lambda_l
+    assert lam_l / 2 == pytest.approx(0.5)
 
     topo = ring(2)
     policy = assemble("atc", build_metropolis(topo), support=topo)

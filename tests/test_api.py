@@ -11,11 +11,10 @@ PUBLIC = {
     "ObservabilityError", "StabilityError", "StructureError",
     # model
     "AssumptionConstants", "LinearModel", "assumption_constants",
-    "check_network_observability", "limit_point", "network_hessian",
-    "noise_profile",
+    "limit_point", "network_hessian", "noise_profile",
     # numerics
     "lyapunov_quadrature_oracle", "matrix_exponential",
-    "solve_lyapunov_continuous", "spectral_radius",
+    "solve_lyapunov_continuous",
     # policy
     "CombinationPolicy", "PerronData", "assemble", "build_hastings",
     "build_metropolis", "build_perron", "build_uniform_averaging",
@@ -29,8 +28,7 @@ PUBLIC = {
     "step_reference",
     # theory
     "OptimalWeights", "TheoryReport", "build_report", "convergence_rate",
-    "optimal_theta", "optimal_theta_for_model", "predict_msd_identity",
-    "predict_weighted_mse", "report_to_json", "stable_step_bound",
+    "optimal_theta_for_model", "report_to_json", "stable_step_bound",
     # topology
     "Topology", "from_edges", "is_connected", "random_geometric", "ring",
 }
@@ -41,4 +39,4 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 54

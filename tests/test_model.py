@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from adaptnet import (AssumptionConstants, LinearModel, assumption_constants,
-                      check_network_observability, limit_point,
-                      network_hessian, noise_profile)
+                      limit_point, network_hessian, noise_profile)
 from adaptnet.errors import ModelError, ObservabilityError
 from adaptnet.model import _block_slices, _covariance_factor
 
@@ -217,15 +216,6 @@ class TestGradients:
 
 
 class TestNoiseCovariance:
-    def test_zero_noise(self):
-        model = make_model(sigma_n2=[0.0, 0.0])
-        assert np.array_equal(model.rv_blocks()[0], np.zeros((2, 2)))
-
-    def test_identity_covariance_value(self):
-        model = make_model(m=10, n=1, r_u=[np.eye(10)], sigma_n2=[0.1],
-                           w_star=np.zeros(10))
-        assert np.allclose(model.rv_blocks()[0], 0.4 * np.eye(10))
-
     def test_empirical_covariance_at_solution(self):
         model = make_model(sigma_n2=[0.1, 0.1])
         rng = np.random.default_rng(8)
@@ -233,7 +223,8 @@ class TestNoiseCovariance:
         noise = model.stochastic_gradient_network(model.w_star[:, None], u,
                                                   d)[0]
         emp = noise @ noise.T / noise.shape[-1]
-        expected = model.rv_blocks()[0]
+        # R_v,k = 4 sigma_k^2 R_u,k
+        expected = (4.0 * model.sigma_n2[:, None, None] * model.r_u)[0]
         assert np.abs(emp - expected).max() < 0.05 * np.abs(expected).max()
 
 
@@ -283,17 +274,21 @@ class TestHessians:
 class TestObservability:
     def test_all_zero_covariances(self):
         model = make_model(r_u=[np.zeros((2, 2))] * 2, sigma_n2=[0.0, 0.0])
-        ok, lam = check_network_observability(model, [0.5, 0.5])
-        assert not ok and lam == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ObservabilityError) as exc:
+            limit_point(model, [0.5, 0.5])
+        assert exc.value.extreme == pytest.approx(0.0, abs=1e-15)
 
     def test_complementary_pair(self):
-        ok, lam = check_network_observability(complementary_pair(), [0.5, 0.5])
-        assert ok and lam == pytest.approx(0.5)
+        # lambda_l is the least eigenvalue of H_c = 2 sum_k p_k R_u,k
+        lam_l = assumption_constants(complementary_pair(),
+                                     [0.5, 0.5]).lambda_l
+        assert lam_l / 2 == pytest.approx(0.5)
 
     def test_single_singular_agent(self):
         model = make_model(n=1, r_u=[np.diag([1.0, 0.0])], sigma_n2=[0.1])
-        ok, lam = check_network_observability(model, [1.0])
-        assert not ok and lam == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ObservabilityError) as exc:
+            limit_point(model, [1.0])
+        assert exc.value.extreme == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAssumptionConstants:
@@ -317,6 +312,31 @@ class TestAssumptionConstants:
         model = make_model(sigma_n2=[0.0, 0.0])
         consts = assumption_constants(model, [0.5, 0.5])
         assert consts.sigma_v2 == 0.0
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (100, 10), (300, 40)])
+    def test_broadcast_stack_is_decomposed_once(self, n, m, monkeypatch):
+        # one block broadcast over the agents: one M x M eigendecomposition,
+        # and the constants of its contiguous copy bit for bit
+        rng = np.random.default_rng(n + m)
+        g = rng.standard_normal((m, m))
+        r_u = np.broadcast_to(g @ g.T / m + np.eye(m), (n, m, m))
+        sigma_n2 = rng.uniform(1e-3, 1e-1, n)
+        p = rng.random(n)
+        p /= p.sum()
+        want = assumption_constants(
+            make_model(m=m, n=n, r_u=r_u.copy(), sigma_n2=sigma_n2), p)
+        view = make_model(m=m, n=n, r_u=r_u, sigma_n2=sigma_n2)
+        assert view.r_u.strides[0] == 0
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = assumption_constants(view, p)
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+        assert got == want
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptnet import (lyapunov_quadrature_oracle, matrix_exponential,
-                      solve_lyapunov_continuous, spectral_radius)
+                      solve_lyapunov_continuous)
 from adaptnet.errors import AccuracyError, StabilityError
 
 
@@ -17,17 +17,6 @@ def random_stable(rng, n, skew_scale=0.2):
 def random_psd(rng, n):
     b = rng.standard_normal((n, n))
     return b @ b.T / n
-
-
-class TestSpectralRadius:
-    def test_identity(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
-
-    def test_diagonal_takes_magnitude(self):
-        assert spectral_radius(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
-
-    def test_rotation_has_unit_radius(self):
-        assert spectral_radius([[0.0, 1.0], [-1.0, 0.0]]) == pytest.approx(1.0)
 
 
 class TestMatrixExponential:

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from adaptnet import (LinearModel, PerronData, SimConfig, assemble,
-                      build_metropolis, build_perron,
+                      build_metropolis, build_perron, build_report,
                       decomposition_diagnostics, export_csv,
                       fit_geometric_rate, network_hessian, noise_profile,
-                      predict_msd_identity, random_geometric, ring, run,
-                      run_summary)
+                      random_geometric, ring, run, run_summary)
 from adaptnet import sim
 from adaptnet.errors import ContractError, DivergenceError
 
@@ -118,8 +117,8 @@ class TestRunBasics:
                         model=model, mus=mu)
         curves = run(cfg)
         steady, _ = curves.steady_state()
-        theory = predict_msd_identity(2 * np.eye(m), model.rv_blocks(), [1.0],
-                                      mu)
+        theory = build_report(model, policy,
+                              build_perron(policy, mu)).msd_first_order
         assert theory == pytest.approx(1e-3, rel=1e-12)
         assert steady[0] == pytest.approx(theory, rel=0.10)
 

@@ -3,11 +3,9 @@ import pytest
 
 from adaptnet import (AssumptionConstants, LinearModel, assemble,
                       build_hastings, build_metropolis, build_perron,
-                      build_report,
-                      convergence_rate, network_hessian, noise_profile,
-                      optimal_theta, optimal_theta_for_model,
-                      predict_msd_identity, predict_weighted_mse,
-                      random_geometric, report_to_json, ring,
+                      build_report, convergence_rate, noise_profile,
+                      optimal_theta_for_model, random_geometric,
+                      report_to_json, ring, solve_lyapunov_continuous,
                       stable_step_bound)
 from adaptnet import theory as theory_mod
 from adaptnet.errors import ContractError
@@ -15,100 +13,121 @@ from adaptnet.model import _block_slices
 from adaptnet.theory import _spread_from_first
 
 
-def identity_blocks(n, m, scale):
-    return np.broadcast_to(np.eye(m), (n, m, m)).copy() * np.asarray(
-        scale)[:, None, None]
+def report_for(model, target, mus=1e-3):
+    """``build_report`` on a ring whose Hastings weights have Perron vector
+    ``target``, so that p_k = (mu_k / mu_max) target_k."""
+    topo = ring(model.n_agents)
+    policy = assemble("atc", build_hastings(topo, target), support=topo)
+    perron = build_perron(policy, mus)
+    return build_report(model, policy, perron), perron
+
+
+def shared_model(m, sigma_n2, r_u=None):
+    """Agents sharing one regressor covariance (I by default)."""
+    sigma_n2 = np.asarray(sigma_n2, dtype=float)
+    block = np.eye(m) if r_u is None else r_u
+    return LinearModel(w_star=np.zeros(m),
+                       r_u=np.broadcast_to(block, (sigma_n2.size, m, m)),
+                       sigma_n2=sigma_n2)
+
+
+def stacked_noise(model):
+    """The stacked gradient-noise covariances R_v,k = 4 sigma_k^2 R_u,k."""
+    return 4.0 * model.sigma_n2[:, None, None] * model.r_u
 
 
 class TestWeightedMse:
     def test_zero_noise_gives_zero(self):
-        hc = 2.0 * np.eye(3)
-        rv = np.zeros((2, 3, 3))
-        assert predict_weighted_mse(hc, rv, [0.5, 0.5], 1e-3, np.eye(3)) == 0.0
+        report, _ = report_for(shared_model(3, [0.0, 0.0]), [0.5, 0.5])
+        assert report.msd_first_order == 0.0
+        assert report.weighted_mse_hc_half == 0.0
 
     def test_single_agent_lms_law(self):
+        # H_c = 2I, so the H_c/2 weighting is the identity:
         # mu (1/2) Tr((2I)^-1 0.4 I_10) = 1e-3 * 0.1 * 10 = 1e-3
-        m = 10
-        hc = 2.0 * np.eye(m)
-        rv = identity_blocks(1, m, [0.4])
-        value = predict_weighted_mse(hc, rv, [1.0], 1e-3, np.eye(m))
-        assert value == pytest.approx(1e-3, rel=1e-12)
+        report, _ = report_for(shared_model(10, [0.1]), [1.0])
+        assert report.weighted_mse_hc_half == pytest.approx(1e-3, rel=1e-12)
 
     def test_half_hessian_weighting_closed_form(self):
         rng = np.random.default_rng(0)
         n, m = 4, 3
-        hc = 2.0 * np.eye(m)
-        rv = np.stack([np.diag(rng.uniform(0.1, 1.0, m)) for _ in range(n)])
-        p = rng.uniform(0.1, 0.5, n)
+        model = LinearModel(
+            w_star=np.zeros(m),
+            r_u=np.stack([np.diag(rng.uniform(0.1, 1.0, m))
+                          for _ in range(n)]),
+            sigma_n2=rng.uniform(0.1, 1.0, n))
         mu = 2e-3
-        value = predict_weighted_mse(hc, rv, p, mu, hc / 2.0)
+        report, perron = report_for(model, rng.uniform(0.1, 0.5, n), mu)
+        rv, p = stacked_noise(model), perron.p
         closed = (mu / 4.0) * sum(p[k] ** 2 * np.trace(rv[k]) for k in range(n))
-        assert value == pytest.approx(closed, abs=1e-10)
+        assert report.weighted_mse_hc_half == pytest.approx(closed, abs=1e-10)
 
     def test_linear_in_step_size(self):
-        hc = np.diag([2.0, 4.0])
-        rv = identity_blocks(2, 2, [0.4, 0.2])
-        p = [0.6, 0.4]
-        one = predict_weighted_mse(hc, rv, p, 1e-3, np.eye(2))
-        two = predict_weighted_mse(hc, rv, p, 2e-3, np.eye(2))
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
+        # H_c = diag(2, 4)
+        model = shared_model(2, [0.1, 0.05], np.diag([1.0, 2.0]))
+        one, _ = report_for(model, [0.6, 0.4], 1e-3)
+        two, _ = report_for(model, [0.6, 0.4], 2e-3)
+        assert two.msd_first_order == pytest.approx(
+            2.0 * one.msd_first_order, rel=1e-12)
 
 
 class TestMsdIdentity:
     def test_matches_general_path(self):
+        # the report's analytic X = H_c^-1 / 2 against the vectorized
+        # Lyapunov solve with Sigma = I
         rng = np.random.default_rng(1)
         for _ in range(5):
             m, n = 4, 3
-            g = rng.standard_normal((m, m))
-            hc = g @ g.T / m + 0.5 * np.eye(m)
-            rv = np.stack([np.diag(rng.uniform(0.1, 1.0, m))
-                           for _ in range(n)])
-            p = rng.uniform(0.1, 0.5, n)
-            via_lyapunov = predict_weighted_mse(hc, rv, p, 1e-3, np.eye(m))
-            analytic = predict_msd_identity(hc, rv, p, 1e-3)
-            assert analytic == pytest.approx(via_lyapunov, abs=1e-10)
+            g = rng.standard_normal((n, m, m))
+            model = LinearModel(
+                w_star=np.zeros(m),
+                r_u=g @ g.transpose(0, 2, 1) / (2 * m) + 0.25 * np.eye(m),
+                sigma_n2=rng.uniform(0.025, 0.25, n))
+            mu = 1e-3
+            report, perron = report_for(model, rng.uniform(0.1, 0.5, n), mu)
+            r_eff = np.einsum("k,kij->ij", perron.p ** 2, stacked_noise(model))
+            x = solve_lyapunov_continuous(report.hc, np.eye(m))
+            via_lyapunov = float(mu * np.trace(x @ r_eff))
+            assert report.msd_first_order == pytest.approx(via_lyapunov,
+                                                           abs=1e-10)
 
     def test_homogeneous_network_noise_reduction(self):
         # identical agents with uniform weights: MSD = (mu/2N) Tr(H^-1 Rv1)
-        n, m, mu = 5, 3, 1e-3
-        hc = 2.0 * np.eye(m)
-        rv = identity_blocks(n, m, [0.4] * n)
-        value = predict_msd_identity(hc, rv, np.full(n, 1 / n), mu)
-        single = predict_msd_identity(hc, rv[:1], [1.0], mu)
-        assert value == pytest.approx(single / n, rel=1e-12)
+        n, m = 5, 3
+        value, _ = report_for(shared_model(m, [0.1] * n), np.full(n, 1 / n))
+        single, _ = report_for(shared_model(m, [0.1]), [1.0])
+        assert value.msd_first_order == pytest.approx(
+            single.msd_first_order / n, rel=1e-12)
 
     def test_single_agent_value(self):
-        value = predict_msd_identity(2.0 * np.eye(10),
-                                     identity_blocks(1, 10, [0.4]), [1.0], 1e-3)
-        assert value == pytest.approx(1e-3, rel=1e-12)
+        report, _ = report_for(shared_model(10, [0.1]), [1.0])
+        assert report.msd_first_order == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestOptimalTheta:
     def test_identical_agents_uniform(self):
-        h = 2.0 * np.eye(3)
-        rv = identity_blocks(4, 3, [0.4] * 4)
-        out = optimal_theta(h, rv, 1e-3)
+        # H = 2I, R_v,k = 0.4 I for every agent
+        out = optimal_theta_for_model(shared_model(3, [0.1] * 4), 1e-3)
         assert np.allclose(out.theta, 0.25, atol=1e-14)
 
     def test_trace_ratio_hand_value(self):
-        # traces 1 and 3 -> weights proportional to 1 and 1/3
-        h = np.eye(2)
-        rv = np.stack([np.diag([0.5, 0.5]), np.diag([1.5, 1.5])])
-        out = optimal_theta(h, rv, 1e-3)
+        # H = I, R_v = 0.5 I and 1.5 I: traces 1 and 3 -> weights
+        # proportional to 1 and 1/3
+        model = shared_model(2, [0.25, 0.75], 0.5 * np.eye(2))
+        out = optimal_theta_for_model(model, 1e-3)
         assert np.allclose(out.theta, [0.75, 0.25], atol=1e-14)
         assert out.msd == pytest.approx((1e-3 / 2) / (1 / 1 + 1 / 3), rel=1e-12)
 
     def test_noiseless_agent_flagged(self):
-        h = np.eye(2)
-        rv = np.stack([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(ValueError, match="zero noise"):
-            optimal_theta(h, rv, 1e-3)
+            optimal_theta_for_model(shared_model(2, [0.0, 0.25]), 1e-3)
 
     def test_minimizes_over_simplex_perturbations(self):
         rng = np.random.default_rng(2)
         h = 2.0 * np.eye(2)
-        rv = np.stack([np.diag([s, s]) for s in rng.uniform(0.05, 1.0, 6)])
-        out = optimal_theta(h, rv, 1e-3)
+        model = shared_model(2, rng.uniform(0.05, 1.0, 6) / 4.0)
+        rv = stacked_noise(model)
+        out = optimal_theta_for_model(model, 1e-3)
         traces = np.array([np.trace(np.linalg.solve(h, rv[k]))
                            for k in range(6)])
 
@@ -156,17 +175,19 @@ class TestOptimalTheta:
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (30, 10), (301, 40)])
     def test_model_wrapper_matches_the_stacked_noise_bit_for_bit(self, n, m):
-        # at (301, 40) the last bounded slice holds a single block
+        # the traces Tr(H^-1 R_v,k) formed a bounded slice at a time give
+        # the bits of one einsum over the stacked R_v,k; at (301, 40) the
+        # last bounded slice holds a single block
         rng = np.random.default_rng(n)
         g = rng.standard_normal((m, m))
         block = g @ g.T / m + np.eye(m)
-        model = LinearModel(w_star=np.zeros(m),
-                            r_u=np.broadcast_to(block, (n, m, m)),
-                            sigma_n2=rng.uniform(1e-3, 1e-1, n))
+        model = shared_model(m, rng.uniform(1e-3, 1e-1, n), block)
         got = optimal_theta_for_model(model, 1e-3)
-        want = optimal_theta(2.0 * block, model.rv_blocks(), 1e-3)
-        assert np.array_equal(got.theta, want.theta)
-        assert got.msd == want.msd
+        traces = np.einsum("ij,kji->k", np.linalg.inv(2.0 * block),
+                           stacked_noise(model))
+        inv = 1.0 / traces
+        assert np.array_equal(got.theta, inv / inv.sum())
+        assert got.msd == float(0.5e-3 / inv.sum())
         if (n, m) == (301, 40):
             assert len(range(n)[_block_slices(n, m)[-1]]) == 1
 
@@ -175,10 +196,10 @@ class TestOptimalTheta:
         n, m = 300, 40
         g = rng.standard_normal((m, m))
         h = g @ g.T / m + np.eye(m)
-        q = rng.standard_normal((n, m, m))
-        rv = (q @ q.transpose(0, 2, 1)) * rng.uniform(1e-3, 1e-1, n)[:, None, None]
-        out = optimal_theta(h, rv, 1e-3)
-        inv = 1.0 / np.array([np.trace(np.linalg.solve(h, r)) for r in rv])
+        model = shared_model(m, rng.uniform(1e-3, 1e-1, n), h / 2.0)
+        out = optimal_theta_for_model(model, 1e-3)
+        inv = 1.0 / np.array([np.trace(np.linalg.solve(h, r))
+                              for r in stacked_noise(model)])
         assert np.abs(out.theta / (inv / inv.sum()) - 1.0).max() < 1e-14
         assert out.msd == pytest.approx(0.5e-3 / inv.sum(), rel=1e-14)
 
@@ -194,6 +215,16 @@ class TestConvergenceRate:
     def test_slowest_mode_dominates(self):
         assert convergence_rate(np.diag([2.0, 4.0]), 0.01) \
             == pytest.approx(0.9604, rel=1e-12)
+
+    def test_overshooting_mode_counts_by_magnitude(self):
+        # 1 - 0.4 * 4 = -0.6 outweighs 1 - 0.4 * 2 = 0.2
+        assert convergence_rate(np.diag([2.0, 4.0]), 0.4) \
+            == pytest.approx(0.36, rel=1e-12)
+
+    def test_non_finite_hessian_rejected(self):
+        # eigvalsh alone reads [[nan, 0], [0, 1]] as eigenvalues (0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            convergence_rate([[np.nan, 0.0], [0.0, 1.0]], 0.01)
 
 
 class TestStepBound:
@@ -278,7 +309,7 @@ class TestBuildReport:
         perron = build_perron(policy, rng.uniform(1e-5, 1e-4, n))
         report = build_report(model, policy, perron)
         p, mu = perron.p, perron.mu_max
-        r_eff = np.einsum("k,kij->ij", p ** 2, model.rv_blocks())
+        r_eff = np.einsum("k,kij->ij", p ** 2, stacked_noise(model))
         hc = np.einsum("k,kij->ij", p, 2.0 * np.ascontiguousarray(r_u))
         assert np.array_equal(report.hc, hc)
         assert report.msd_first_order == float(
