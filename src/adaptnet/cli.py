@@ -267,8 +267,11 @@ def cmd_theory(config_path: str) -> int:
 
 
 def _preset_config(name: str) -> dict:
+    common = {"mu": 5e-4, "trials": 200, "steady_window": 0.1,
+              "paired_streams": True}
     if name == "fig4":
         return {
+            **common,
             "seed": 2024,
             "topology": {"kind": "random_geometric", "n": 30,
                          "radius": 0.35, "seed": 42},
@@ -281,14 +284,11 @@ def _preset_config(name: str) -> dict:
             },
             "policy": {"kind": "atc", "weights": "hastings",
                        "target": "optimal"},
-            "mu": 5e-4,
-            "trials": 200,
             "iters": 30_000,
-            "steady_window": 0.1,
-            "paired_streams": True,
         }
     if name == "partial_obs":
         return {
+            **common,
             "seed": 7,
             "topology": {"kind": "ring", "n": 2},
             "model": {
@@ -298,11 +298,7 @@ def _preset_config(name: str) -> dict:
                 "sigma_n2": [0.01, 0.04],
             },
             "policy": {"kind": "atc", "weights": "metropolis"},
-            "mu": 5e-4,
-            "trials": 200,
             "iters": 80_000,
-            "steady_window": 0.1,
-            "paired_streams": True,
         }
     if name == "topology_invariance":
         rng = np.random.default_rng(9)
@@ -312,6 +308,7 @@ def _preset_config(name: str) -> dict:
         rgg_spec = {"kind": "random_geometric", "n": 10,
                     "radius": 0.5, "seed": 21}
         return {
+            **common,
             "seed": 5,
             "topology": ring_spec,
             "compare_topologies": [ring_spec, rgg_spec],
@@ -324,11 +321,7 @@ def _preset_config(name: str) -> dict:
             },
             "policy": {"kind": "atc", "weights": "hastings",
                        "target": target.tolist()},
-            "mu": 5e-4,
-            "trials": 200,
             "iters": 40_000,
-            "steady_window": 0.1,
-            "paired_streams": True,
         }
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 

@@ -53,8 +53,8 @@ def noise_profile(n: int, seed: int, lo: float = 1e-3, hi: float = 1e-1,
     """
     if n < 1:
         raise ValueError("need at least one agent")
-    if not 0 < lo <= hi:
-        raise ValueError("need 0 < lo <= hi")
+    if not 0 < lo <= hi < np.inf:  # NaN fails too
+        raise ValueError(f"need 0 < lo <= hi, both finite; got lo={lo}, hi={hi}")
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     if anchor and n > 1 and x.max() > x.min():
@@ -126,6 +126,8 @@ class LinearModel:
         if self.w_star.ndim != 1:
             raise ModelError("w_star must be one-dimensional")
         m = self.w_star.size
+        if not m:
+            raise ModelError("w_star is empty: the dimension M must be at least 1")
         r = self.r_u
         if r.ndim != 3 or r.shape[1:] != (m, m) or not len(r):
             raise ModelError(f"r_u must have shape (N, {m}, {m}) with N >= 1, "

@@ -31,6 +31,8 @@ def _square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not m.size:
+        raise ValueError("matrix is empty (0 x 0)")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -81,14 +83,6 @@ def _check_weighting(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape((n, n), order="F")
-
-
 def solve_lyapunov_continuous(hc, sigma) -> np.ndarray:
     """Unique X with H^T X + X H = Sigma, for H with spectrum in the open
     right half-plane and symmetric PSD Sigma.
@@ -105,8 +99,8 @@ def solve_lyapunov_continuous(hc, sigma) -> np.ndarray:
     n = hc.shape[0]
     eye = np.eye(n)
     k = np.kron(eye, hc.T) + np.kron(hc.T, eye)
-    try:
-        x = _unvec(np.linalg.solve(k, _vec(sigma)), n)
+    try:  # column-major vec(X)
+        x = np.linalg.solve(k, sigma.ravel("F")).reshape((n, n), order="F")
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"vectorized Lyapunov system is singular: {exc}")
     x = 0.5 * (x + x.T)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConnectivityError, NumericalError, StructureError
-from .topology import Topology
+from .numerics import _square
+from .topology import Topology, _bfs_levels, is_connected
 
 _COL_TOL = 1e-12
 _PERRON_RESIDUAL = 1e-12
@@ -60,36 +61,23 @@ class PerronData:
     mu_max: float
 
 
-def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
-    """BFS distance from node 0 along edges i -> j where pattern[i, j]; -1 if
-    unreached."""
-    level = np.full(pattern.shape[0], -1)
-    level[0] = 0
-    frontier = level == 0
-    while frontier.any():
-        frontier = pattern[frontier].any(axis=0) & (level < 0)
-        level[frontier] = level.max() + 1
-    return level
-
-
 def is_primitive(a: np.ndarray) -> bool:
     """True iff some power of the nonnegative square matrix A is entrywise positive.
 
     Exact test on the graph with an edge i -> j where a_ij > 0: it must be
-    strongly connected (BFS from node 0 reaches every node along A and A^T)
-    and aperiodic (the gcd over edges of level(i) + 1 - level(j), with BFS
-    levels from node 0, is 1).  O(N^2) on the dense pattern.
+    strongly connected (breadth-first search from node 0 reaches every
+    node along the edges and against them) and aperiodic (the gcd over
+    edges of level(i) + 1 - level(j), with the forward levels, is 1).
+    O(N^2) to find the edges, then O(edges).  ``ValueError`` unless A is
+    square, non-empty, finite and nonnegative.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(a)
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    pattern = a > 0
-    level = _bfs_levels(pattern)
-    if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
+    i, j = np.nonzero(a > 0)
+    level = _bfs_levels(len(a), i, j)
+    if level.min() < 0 or _bfs_levels(len(a), j, i).min() < 0:
         return False
-    i, j = np.nonzero(pattern)
     return bool(np.gcd.reduce(level[i] + 1 - level[j]) == 1)
 
 
@@ -105,7 +93,8 @@ def perron_vector(a: np.ndarray) -> np.ndarray:
     if not is_primitive(a):
         raise StructureError("matrix is not primitive")
     n = a.shape[0]
-    system = a - np.eye(n)
+    system = a.copy()
+    system.flat[:: n + 1] -= 1.0  # A - I
     system[-1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
@@ -122,7 +111,7 @@ def perron_vector(a: np.ndarray) -> np.ndarray:
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:
     """|lambda_2(A)|: second largest eigenvalue magnitude; 0 for 1x1 input."""
-    a = np.asarray(a, dtype=float)
+    a = _square(a)
     if a.shape[0] == 1:
         return 0.0
     mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
@@ -174,7 +163,7 @@ def build_hastings(topology: Topology, target) -> np.ndarray:
         raise ValueError("target length must equal the agent count")
     if not (np.isfinite(target) & (target > 0)).all():
         raise ValueError("target entries must be positive and finite")
-    if not topology.is_connected():
+    if not is_connected(topology):
         raise ConnectivityError("Hastings weights need a connected topology")
     # built as at[k, l] = a_lk so each diagonal remainder sums one contiguous
     # row, as a 1-D column sum does; the target ratio keeps Metropolis exact
@@ -199,22 +188,25 @@ def build_uniform_averaging(topology: Topology) -> np.ndarray:
 
 
 def _validated_factor(m: np.ndarray, topology: Topology, name: str) -> np.ndarray:
-    m = np.array(m, dtype=float)
+    m = np.array(m, dtype=float)  # a copy, clipped and renormalized in place
     n = topology.n
     if m.shape != (n, n):
         raise StructureError(f"{name} must be {n}x{n}")
     if (m < -_COL_TOL).any():
         raise StructureError(f"{name} has negative entries")
-    m = np.clip(m, 0.0, None)
+    np.clip(m, 0.0, None, out=m)
     cols = m.sum(axis=0)
     if not np.abs(cols - 1.0).max() <= _COL_TOL:  # NaN fails too
         raise StructureError(
             f"{name} is not left-stochastic (max column-sum error "
             f"{np.abs(cols - 1.0).max():.3e})"
         )
-    if (m[topology.adjacency() == 0] > 0.0).any():
+    outside = np.ones((n, n), dtype=bool)
+    outside[topology._pairs()] = False
+    if (m[outside] > 0.0).any():
         raise StructureError(f"{name} assigns weight outside neighborhoods")
-    return m / cols  # exact column renormalization
+    m /= cols  # exact column renormalization
+    return m
 
 
 def assemble(kind: str, a: np.ndarray | None = None, *,

@@ -498,22 +498,26 @@ def export_csv(curves: LearningCurves, path) -> None:
     reference_err, centroid_offset.
 
     The bytes are those of ``csv.writer`` on the ``repr`` of each value
-    (CRLF line ends, nothing to quote); the lines are built in one pass.
+    (CRLF line ends, nothing to quote).  The lines are built and written
+    about 4 096 rows (whole iterations, at least one) at a time, so the
+    memory held does not grow with the file.
     """
     n = curves.n_agents
-    msd = curves.msd.ravel().tolist()
-    db = [repr(10.0 * math.log10(x)) if x > 0 else "-inf" for x in msd]
-    msd = list(map(repr, msd))
-    offset = list(map(repr, curves.centroid_offset.ravel().tolist()))
-    shared = [f"{c},{r}" for c, r in zip(
-        map(repr, curves.centralized_msd.tolist()),
-        map(repr, curves.reference_err.tolist()))]
-    lines = ["iter,agent,msd,msd_db,centralized_msd,reference_err,"
-             "centroid_offset\r\n"]
-    lines += [f"{row // n},{row % n},{msd[row]},{db[row]},{shared[row // n]},"
-              f"{offset[row]}\r\n" for row in range(len(msd))]
+    step = max(1, 4096 // n)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("iter,agent,msd,msd_db,centralized_msd,reference_err,"
+                 "centroid_offset\r\n")
+        for start in range(0, curves.iters, step):
+            rows = slice(start, start + step)
+            shared = [f"{c!r},{r!r}" for c, r in zip(
+                curves.centralized_msd[rows].tolist(),
+                curves.reference_err[rows].tolist())]
+            offset = curves.centroid_offset[rows].ravel().tolist()
+            fh.write("".join([
+                f"{start + i // n},{i % n},{x!r},"
+                f"{10.0 * math.log10(x) if x > 0 else -math.inf!r},"
+                f"{shared[i // n]},{offset[i]!r}\r\n"
+                for i, x in enumerate(curves.msd[rows].ravel().tolist())]))
 
 
 def run_summary(curves: LearningCurves, theory: dict | None = None) -> dict:

@@ -70,9 +70,6 @@ class Topology:
         a[self._pairs()] = 1.0
         return a
 
-    def is_connected(self) -> bool:
-        return is_connected(self)
-
 
 def from_edges(n: int, edges) -> Topology:
     """Build a topology from undirected edges, a sequence of (i, j) pairs or
@@ -108,15 +105,18 @@ def random_geometric(n: int, radius: float, seed: int) -> Topology:
     """
     if n < 1:
         raise ValueError(f"agent count must be >= 1, got {n}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < np.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     # radius >= sqrt(2) spans the unit square and yields a complete graph
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         pos = rng.random((n, 2))
         # |pos_i - pos_j| rounded as np.linalg.norm(..., axis=-1) rounds it
         dx, dy = (pos[:, None, c] - pos[None, :, c] for c in (0, 1))
-        dist = np.sqrt(dx * dx + dy * dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dist = np.sqrt(dx, out=dx)
         topo = from_edges(n, np.argwhere(np.triu(dist <= radius, 1)))
         if is_connected(topo):
             return topo
@@ -126,14 +126,28 @@ def random_geometric(n: int, radius: float, seed: int) -> Topology:
     )
 
 
+def _bfs_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from node 0 along the edges src[e] -> dst[e] of a
+    graph on n nodes, -1 where unreached.  Sorted by source once, the edges
+    are each read once, when their source joins the frontier; each new
+    frontier is found in one pass over the n levels."""
+    count = np.bincount(src, minlength=n)
+    end = np.cumsum(count)  # one past each node's last edge once sorted
+    dst = dst[np.argsort(src)]
+    level = np.full(n, -1)
+    level[0] = 0
+    frontier, depth = np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
+        depth += 1
+        c = count[frontier]  # the frontier's out-edges, gathered in order
+        shift = np.repeat(end[frontier] - c.cumsum(), c)
+        reach = dst[shift + np.arange(shift.size)]
+        level[reach[level[reach] < 0]] = depth
+        frontier = np.flatnonzero(level == depth)
+    return level
+
+
 def is_connected(topology: Topology) -> bool:
     """Breadth-first search from agent 0 reaches every agent."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        k = frontier.pop()
-        for l in topology.neighbors[k]:
-            if l not in seen:
-                seen.add(l)
-                frontier.append(l)
-    return len(seen) == topology.n
+    hear, agent = topology._pairs()  # agent-major: sorted by source
+    return bool(_bfs_levels(topology.n, agent, hear).min() >= 0)

@@ -38,6 +38,12 @@ class TestNoiseProfile:
         prof = noise_profile(50, 1, anchor=False)
         assert prof.min() >= 1e-3 and prof.max() <= 1e-1
 
+    @pytest.mark.parametrize("lo, hi", [(1e-3, np.inf), (np.nan, 1e-1),
+                                        (1e-3, np.nan), (np.inf, np.inf)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="both finite"):
+            noise_profile(3, 0, lo=lo, hi=hi)
+
 
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
@@ -84,6 +90,11 @@ class TestValidation:
         assert _block_slices(n, m)[0].stop <= 450
         with pytest.raises(ModelError, match=r"r_u\[450\] is not symmetric"):
             make_model(m=m, n=n, r_u=r_u)
+
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ModelError, match="dimension M must be at least 1"):
+            LinearModel(w_star=np.zeros(0), r_u=np.zeros((2, 0, 0)),
+                        sigma_n2=[0.1, 0.1])
 
     def test_shape_error_names_the_sizes(self):
         with pytest.raises(ModelError, match=r"\(N, 2, 2\).*\(3, 1, 1\)"):

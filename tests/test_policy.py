@@ -105,6 +105,43 @@ class TestIsPrimitive:
     def test_positive_matrix_is_primitive(self):
         assert is_primitive(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_one_way_reachability_is_not_primitive(self, backward):
+        # a random tree out of node 0 plus self-loops and forward chords:
+        # node 0 reaches every node, no other node reaches node 0
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            a = np.eye(n) * rng.random(n)
+            a[rng.integers(0, np.arange(1, n)), np.arange(1, n)] = 1.0
+            i, j = rng.integers(0, n, size=(2, n))
+            a[i[i < j], j[i < j]] = 0.5
+            a = a.T if backward else a
+            assert not strongly_connected_oracle(a)
+            assert is_primitive(a) is wielandt_power_oracle(a) is False
+
+    def test_a_cycle_closing_the_one_way_path_is_primitive(self):
+        # 0 -> 1 -> 2 -> 3, then 3 -> 0 and 3 -> 1: cycles of 4 and 3
+        a = np.zeros((4, 4))
+        a[[0, 1, 2, 3, 3], [1, 2, 3, 0, 1]] = 1.0
+        assert is_primitive(a) and wielandt_power_oracle(a)
+        a[3, 1] = 0.0  # the 4-cycle alone is periodic
+        assert not is_primitive(a) and not wielandt_power_oracle(a)
+
+    @pytest.mark.parametrize("value, want", [(0.0, False), (0.3, True), (1.0, True)])
+    def test_single_node(self, value, want):
+        a = np.array([[value]])
+        assert is_primitive(a) is wielandt_power_oracle(a) is want
+
+    @pytest.mark.parametrize("func", [is_primitive, second_eigenvalue_magnitude,
+                                      perron_vector])
+    @pytest.mark.parametrize("a, message", [
+        (np.zeros((0, 0)), r"empty \(0 x 0\)"), (np.ones((2, 3)), "square"),
+        ([[0.5, np.nan], [0.5, 1.0]], "finite")])
+    def test_malformed_matrix_rejected(self, func, a, message):
+        with pytest.raises(ValueError, match=message):
+            func(a)
+
     def test_metropolis_ring_matches_power_oracle(self):
         a = build_metropolis(ring(5))
         power = np.eye(5)

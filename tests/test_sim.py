@@ -558,6 +558,52 @@ class TestExports:
         assert path.read_bytes() == ref.read_bytes()
         assert b"\r\n0,1,0.0,-inf," in path.read_bytes()
 
+    @staticmethod
+    def wide_curves(iters, n, seed=0):
+        """A small run's curves with synthetic (iters, n) series put in."""
+        rng = np.random.default_rng(seed)
+        msd = rng.random((iters, n)) ** 8
+        msd[::97, -1] = 0.0
+        return dataclasses.replace(
+            run(small_config(trials=2, iters=20)), msd=msd,
+            centroid_offset=rng.random((iters, n)) * 1e-3,
+            centralized_msd=rng.random(iters), reference_err=rng.random(iters))
+
+    @staticmethod
+    def one_pass_bytes(curves):
+        """The CSV as one string built over every row at once."""
+        n = curves.n_agents
+        msd = curves.msd.ravel().tolist()
+        db = [repr(10.0 * math.log10(x)) if x > 0 else "-inf" for x in msd]
+        offset = curves.centroid_offset.ravel().tolist()
+        cent = curves.centralized_msd.tolist()
+        ref = curves.reference_err.tolist()
+        lines = ["iter,agent,msd,msd_db,centralized_msd,reference_err,"
+                 "centroid_offset\r\n"]
+        lines += [f"{r // n},{r % n},{msd[r]!r},{db[r]},{cent[r // n]!r},"
+                  f"{ref[r // n]!r},{offset[r]!r}\r\n" for r in range(len(msd))]
+        return "".join(lines).encode()
+
+    # 4 096 // n iterations per chunk: 585 (7 agents, 8.5 chunks), 1 (5 000
+    # agents, one iteration a chunk) and 4 096 (one agent, a short last one)
+    @pytest.mark.parametrize("iters, n", [(5000, 7), (3, 5000), (8200, 1)])
+    def test_chunked_bytes_match_one_pass(self, tmp_path, iters, n):
+        curves = self.wide_curves(iters, n)
+        export_csv(curves, tmp_path / "curves.csv")
+        assert (tmp_path / "curves.csv").read_bytes() == self.one_pass_bytes(curves)
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        curves = self.wide_curves(20_000, 10)
+        tracemalloc.start()
+        try:
+            export_csv(curves, tmp_path / "curves.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "curves.csv").stat().st_size
+        assert size > 20 << 20
+        assert peak < size / 5, (peak, size)
+
     def test_summary_contains_theory_deltas(self):
         curves = run(small_config(trials=5, iters=40))
         summary = run_summary(curves, {"msd_first_order": 1e-4})

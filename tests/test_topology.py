@@ -3,6 +3,7 @@ import pytest
 
 from adaptnet import Topology, from_edges, is_connected, random_geometric, ring
 from adaptnet.errors import ConnectivityError
+from adaptnet.topology import _bfs_levels
 
 
 def test_ring_single_agent():
@@ -105,6 +106,68 @@ def test_geometric_connectivity_failure_names_parameters():
         random_geometric(40, 0.01, 0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+def test_geometric_rejects_bad_radius_before_placing(radius, monkeypatch):
+    def no_placement(*args):
+        raise AssertionError("an agent was placed")
+    monkeypatch.setattr(np.random, "default_rng", no_placement)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        random_geometric(5, radius, 0)
+
+
+def reference_walk(topology):
+    """Set of agents reached from agent 0 by a plain stack walk."""
+    seen, stack = {0}, [0]
+    while stack:
+        for l in topology.neighbors[stack.pop()]:
+            if l not in seen:
+                seen.add(l)
+                stack.append(l)
+    return seen
+
+
+def random_topologies(count, seed):
+    """Topologies on 1..30 agents with 0..3N random edges: sparse ones are
+    mostly disconnected, dense ones mostly connected."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 31))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
+        yield from_edges(n, edges[edges[:, 0] != edges[:, 1]])
+
+
+def test_is_connected_matches_the_reference_walk():
+    connected = 0
+    for t in random_topologies(500, seed=3):
+        want = len(reference_walk(t)) == t.n
+        assert is_connected(t) == want, t
+        connected += want
+    assert 100 < connected < 400  # both answers occur
+
+
+@pytest.mark.parametrize("topology, want", [
+    (ring(1000), True), (random_geometric(200, 0.13, 3), True),
+    (from_edges(1000, [(k, k + 1) for k in range(999) if k != 500]), False),
+    (from_edges(3, [(1, 2)]), False)])
+def test_is_connected_on_large_and_split_graphs(topology, want):
+    assert is_connected(topology) is want
+    assert (len(reference_walk(topology)) == topology.n) is want
+
+
+def test_bfs_levels_are_shortest_directed_distances():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        src, dst = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n))))
+        # reference: Bellman-Ford style relaxation on unit edge lengths
+        dist = np.full(n, np.inf)
+        dist[0] = 0
+        for _ in range(n):
+            np.minimum.at(dist, dst, dist[src] + 1)
+        want = np.where(np.isinf(dist), -1, dist).astype(int)
+        assert np.array_equal(_bfs_levels(n, src, dst), want)
+
+
 def test_is_connected_two_isolated_agents():
     assert not is_connected(from_edges(2, []))
 
@@ -126,7 +189,7 @@ def test_generated_topologies_respect_invariants(seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
 def test_rings_are_connected(n):
-    assert ring(n).is_connected()
+    assert is_connected(ring(n))
 
 
 def test_validation_rejects_asymmetric_neighbors():
