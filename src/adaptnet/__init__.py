@@ -18,8 +18,8 @@ from .policy import (CombinationPolicy, PerronData, assemble, build_hastings,
                      build_metropolis, build_perron, build_uniform_averaging,
                      is_primitive, perron_vector, policy_to_json,
                      second_eigenvalue_magnitude)
-from .sim import (LearningCurves, SimConfig, decomposition_diagnostics,
-                  export_csv, fit_geometric_rate, run, run_summary)
+from .sim import (LearningCurves, SimConfig, export_csv, fit_geometric_rate,
+                  run, run_summary)
 from .strategy import (reference_error_curve, step_centralized,
                        step_distributed, step_reference)
 from .theory import (OptimalWeights, TheoryReport, build_report,

@@ -202,7 +202,7 @@ def _validated_factor(m: np.ndarray, topology: Topology, name: str) -> np.ndarra
             f"{np.abs(cols - 1.0).max():.3e})"
         )
     outside = np.ones((n, n), dtype=bool)
-    outside[topology._pairs()] = False
+    outside[topology._pairs] = False
     if (m[outside] > 0.0).any():
         raise StructureError(f"{name} assigns weight outside neighborhoods")
     m /= cols  # exact column renormalization

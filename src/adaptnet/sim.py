@@ -4,7 +4,8 @@ Runs the distributed, centralized, and reference recursions side by side
 over many seeded trials and produces per-agent mean-square-deviation
 curves, measured against the network limit point w*, steady-state
 estimates with trial-level standard errors (``LearningCurves``), fitted
-convergence rates, and centroid-decomposition diagnostics.
+convergence rates, and a JSON summary with the centroid decomposition
+(``run_summary``).
 
 Trials are evolved in lockstep, agent-major: the iterates are one
 (N + 1, M, T) array, rows 0..N-1 the agents and row N the centralized
@@ -151,8 +152,10 @@ class SimConfig:
 
 @dataclass
 class LearningCurves:
-    """Per-iteration error series averaged over trials, plus steady-state
-    per-trial window means for standard errors."""
+    """Per-iteration error series averaged over trials, plus the per-trial
+    means over the steady window and over its last half, for standard
+    errors: two (T, N + 1) tables, columns 0..N-1 the agents and column N
+    the centralized run, as in the iterates."""
 
     msd: np.ndarray               # (iters, N)
     centralized_msd: np.ndarray   # (iters,)
@@ -164,10 +167,8 @@ class LearningCurves:
     theta: np.ndarray
     p: np.ndarray
     mu_max: float
-    _trial_msd: np.ndarray = field(repr=False)        # (T, N) full window
-    _trial_msd_half: np.ndarray = field(repr=False)   # (T, N) last half of it
-    _trial_cent: np.ndarray = field(repr=False)       # (T,)
-    _trial_cent_half: np.ndarray = field(repr=False)  # (T,)
+    _window_means: np.ndarray = field(repr=False)       # (T, N + 1)
+    _window_means_half: np.ndarray = field(repr=False)  # (T, N + 1)
 
     @property
     def iters(self) -> int:
@@ -179,11 +180,11 @@ class LearningCurves:
 
     def steady_state(self, half: bool = False):
         """Per-agent steady MSD: (mean (N,), trial-level stderr (N,))."""
-        v = self._trial_msd_half if half else self._trial_msd
+        v = (self._window_means_half if half else self._window_means)[:, :-1]
         return v.mean(axis=0), _stderr(v)
 
     def steady_state_centralized(self, half: bool = False):
-        v = self._trial_cent_half if half else self._trial_cent
+        v = (self._window_means_half if half else self._window_means)[:, -1]
         return float(v.mean()), float(_stderr(v[:, None])[0])
 
     def steady_offset(self, half: bool = False) -> np.ndarray:
@@ -289,7 +290,9 @@ def run(config: SimConfig) -> LearningCurves:
     ``ContractError`` before any work when the random-draw block buffers,
     T * 2 * half * (N*M + N) * 8 bytes per stream with half the
     ``_half_block`` of that width (128 rows up to 32 normals wide, 69 for
-    the canonical 60, 32 for fig4's 330), exceed physical memory.
+    the canonical 60, 32 for fig4's 330), and the per-iteration result
+    arrays, at most (3N + 2M + 4) * 8 bytes per iteration, together exceed
+    physical memory.
     """
     model, policy = config.model, config.policy
     n, m = model.n_agents, model.m
@@ -297,13 +300,20 @@ def run(config: SimConfig) -> LearningCurves:
     half_rows = _half_block(width)
     block = 2 * half_rows
     n_streams = 1 if config.paired_streams else 2
-    need = n_streams * config.trials * block * width * 8
+    blocks = n_streams * config.trials * block * width * 8
+    # per iteration: the (N + 1) squared-error sums and N offsets, the
+    # divided msd and centralized curves, and the reference curve with its
+    # exponent and its (iters, M) power and gap, counted as if all live
+    per_iter = (3 * n + 2 * m + 4) * 8
+    results = config.iters * per_iter
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if blocks + results > have:
         raise ContractError(
-            f"{config.trials} trials need {need / 2**30:.1f} GiB of block "
+            f"{config.trials} trials need {blocks / 2**30:.1f} GiB of block "
             f"buffers ({n_streams} stream(s) of a {block}-iteration x "
-            f"{width}-normal x 8 B block per trial), more than the "
+            f"{width}-normal x 8 B block per trial) and {config.iters} "
+            f"iterations {results / 2**30:.1f} GiB of result arrays "
+            f"({per_iter} B per iteration), more than the "
             f"{have / 2**30:.1f} GiB of physical memory"
         )
     perron = config.perron
@@ -422,10 +432,10 @@ def run(config: SimConfig) -> LearningCurves:
         theta=theta,
         p=p,
         mu_max=mu_max,
-        _trial_msd=(acc[:n] / window).T,
-        _trial_msd_half=(acc_half[:n] / half).T,
-        _trial_cent=acc[n] / window,
-        _trial_cent_half=acc_half[n] / half,
+        # the (N + 1, T) sums divided, viewed as (T, N + 1): each column is
+        # contiguous, which fixes the order of the reductions over trials
+        _window_means=(acc / window).T,
+        _window_means_half=(acc_half / half).T,
     )
 
 
@@ -447,50 +457,6 @@ def fit_geometric_rate(series, i_start: int, i_end: int) -> float:
     x = np.arange(i_start, i_end, dtype=float)
     slope = np.polyfit(x, np.log(seg), 1)[0]
     return float(np.exp(slope))
-
-
-def decomposition_diagnostics(curves: LearningCurves,
-                              halved: LearningCurves | None = None) -> dict:
-    """Steady-state centroid-offset energies and their ratio to the MSD.
-
-    The per-agent offset energy E||w_k - w_c||^2 scales with the square of
-    the step size while the MSD scales linearly, so the offset/MSD ratio
-    should roughly halve when the step size is halved; passing the
-    halved-step curves reports that response.
-    """
-    steady_msd, _ = curves.steady_state()
-    steady_off = curves.steady_offset()
-    ratios = np.divide(steady_off, steady_msd,
-                       out=np.zeros_like(steady_off),
-                       where=steady_msd > 0)
-    network_ratio = float(steady_off.mean() / steady_msd.mean()) \
-        if steady_msd.mean() > 0 else 0.0
-    report = {
-        "per_agent": [
-            {
-                "agent": k,
-                "offset_energy": float(steady_off[k]),
-                "msd": float(steady_msd[k]),
-                "offset_to_msd": float(ratios[k]),
-            }
-            for k in range(curves.n_agents)
-        ],
-        "network": {
-            "offset_energy": float(steady_off.mean()),
-            "msd": float(steady_msd.mean()),
-            "offset_to_msd": network_ratio,
-        },
-    }
-    if halved is not None:
-        h_msd, _ = halved.steady_state()
-        h_ratio = float(halved.steady_offset().mean() / h_msd.mean()) \
-            if h_msd.mean() > 0 else 0.0
-        report["mu_halving_response"] = {
-            "ratio_at_mu": network_ratio,
-            "ratio_at_half_mu": h_ratio,
-            "response": (h_ratio / network_ratio) if network_ratio > 0 else None,
-        }
-    return report
 
 
 def export_csv(curves: LearningCurves, path) -> None:
@@ -521,9 +487,19 @@ def export_csv(curves: LearningCurves, path) -> None:
 
 
 def run_summary(curves: LearningCurves, theory: dict | None = None) -> dict:
-    """Steady-state table plus deltas against a theory block, JSON-ready."""
+    """Steady-state table, centroid decomposition and deltas against a
+    theory block, JSON-ready.
+
+    The decomposition splits each agent's error into the centroid's and
+    the offset w_k - w_c: the offset energy E||w_k - w_c||^2 scales with
+    the square of the step size while the MSD scales linearly, so their
+    ratio is small and should roughly halve when the step size does.
+    """
     steady, stderr = curves.steady_state()
     cent, cent_se = curves.steady_state_centralized()
+    offset = curves.steady_offset()
+    ratios = np.divide(offset, steady, out=np.zeros_like(offset),
+                       where=steady > 0)
 
     def _db(x):
         return 10.0 * math.log10(x) if x > 0 else None
@@ -547,7 +523,23 @@ def run_summary(curves: LearningCurves, theory: dict | None = None) -> dict:
             "steady_msd_db": _db(cent),
             "stderr": cent_se,
         },
-        "decomposition": decomposition_diagnostics(curves),
+        "decomposition": {
+            "per_agent": [
+                {
+                    "agent": k,
+                    "offset_energy": float(offset[k]),
+                    "msd": float(steady[k]),
+                    "offset_to_msd": float(ratios[k]),
+                }
+                for k in range(curves.n_agents)
+            ],
+            "network": {
+                "offset_energy": float(offset.mean()),
+                "msd": float(steady.mean()),
+                "offset_to_msd": float(offset.mean() / steady.mean())
+                if steady.mean() > 0 else 0.0,
+            },
+        },
     }
     if theory is not None:
         prediction = theory.get("msd_first_order")

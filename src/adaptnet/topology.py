@@ -8,7 +8,7 @@ Hastings weight construction).  Agent indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -23,11 +23,16 @@ class Topology:
     """Undirected graph over ``n`` agents, self-loops included.
 
     ``neighbors[k]`` is the sorted tuple of agents that agent ``k`` can
-    hear from, always containing ``k`` itself.
+    hear from, always containing ``k`` itself.  ``_pairs`` holds the
+    read-only index arrays (l, k) over every l in N_k, agent-major in
+    neighbor-list order, built once on construction; it takes no part in
+    equality or hashing.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
+    _pairs: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -37,7 +42,11 @@ class Topology:
         object.__setattr__(
             self, "neighbors", tuple(tuple(sorted(set(s))) for s in self.neighbors)
         )
-        hear, agent = self._pairs()
+        hear = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp)
+        agent = np.repeat(np.arange(self.n), [len(h) for h in self.neighbors])
+        hear.setflags(write=False)
+        agent.setflags(write=False)
+        object.__setattr__(self, "_pairs", (hear, agent))
         out = (hear < 0) | (hear >= self.n)
         if out.any():
             raise ValueError(f"agent index {hear[out][0]} out of range [0, {self.n})")
@@ -49,11 +58,6 @@ class Topology:
             k = np.setdiff1d(np.arange(self.n), agent[hear == agent])[0]
             raise ValueError(f"agent {k} is missing its self-loop")
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (l, k) over every l in N_k, in neighbor-list order."""
-        return (np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp),
-                np.repeat(np.arange(self.n), [len(h) for h in self.neighbors]))
-
     def degree(self, k: int) -> int:
         """Neighborhood size |N_k|, counting the agent itself."""
         return len(self.neighbors[k])
@@ -61,13 +65,13 @@ class Topology:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges (i < j), self-loops excluded."""
-        hear, agent = self._pairs()
+        hear, agent = self._pairs
         return [(k, l) for k, l in zip(agent.tolist(), hear.tolist()) if l > k]
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix including the diagonal self-loops."""
         a = np.zeros((self.n, self.n))
-        a[self._pairs()] = 1.0
+        a[self._pairs] = 1.0
         return a
 
 
@@ -149,5 +153,5 @@ def _bfs_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def is_connected(topology: Topology) -> bool:
     """Breadth-first search from agent 0 reaches every agent."""
-    hear, agent = topology._pairs()  # agent-major: sorted by source
+    hear, agent = topology._pairs  # agent-major: sorted by source
     return bool(_bfs_levels(topology.n, agent, hear).min() >= 0)

@@ -21,8 +21,8 @@ PUBLIC = {
     "is_primitive", "perron_vector", "policy_to_json",
     "second_eigenvalue_magnitude",
     # sim
-    "LearningCurves", "SimConfig", "decomposition_diagnostics",
-    "export_csv", "fit_geometric_rate", "run", "run_summary",
+    "LearningCurves", "SimConfig", "export_csv", "fit_geometric_rate",
+    "run", "run_summary",
     # strategy
     "reference_error_curve", "step_centralized", "step_distributed",
     "step_reference",
@@ -39,4 +39,4 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 53

@@ -98,6 +98,20 @@ class TestRun:
         assert "GiB of block buffers" in err
         assert not out.exists()
 
+    def test_result_arrays_past_memory_exit_3(self, tmp_path, capsys):
+        # sim.run refuses the iteration count before it allocates anything
+        path = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out),
+                     "--iters", str(10**9)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "1000000000 iterations" in err
+        assert "B per iteration" in err
+        assert "GiB of physical memory" in err
+        assert not out.exists()
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         cfg = dict(TINY_CONFIG, mu=0.9, allow_unstable=True, iters=400)
         path = write_config(tmp_path, cfg)

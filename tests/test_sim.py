@@ -14,9 +14,8 @@ import pytest
 
 from adaptnet import (LinearModel, PerronData, SimConfig, assemble,
                       build_metropolis, build_perron, build_report,
-                      decomposition_diagnostics, export_csv,
-                      fit_geometric_rate, network_hessian, noise_profile,
-                      random_geometric, ring, run, run_summary)
+                      export_csv, fit_geometric_rate, network_hessian,
+                      noise_profile, random_geometric, ring, run, run_summary)
 from adaptnet import sim
 from adaptnet.errors import ContractError, DivergenceError
 
@@ -189,6 +188,28 @@ class TestRunBasics:
             assert (f"{streams} stream(s) of a {block}-iteration x "
                     f"{width}-normal x 8 B block per trial") in str(err.value)
 
+    def test_result_arrays_must_fit_memory(self):
+        # a billion iterations of the per-iteration curves cannot fit; the
+        # check names the iteration count and the bytes per iteration
+        iters = 10**9
+        for n, m in ((3, 2), (30, 10)):
+            cfg = small_config(n=n, m=m, trials=5, iters=iters)
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ContractError,
+                                   match="GiB of result arrays") as err:
+                    run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 1.0
+            assert peak < 1 << 20
+            per_iter = (3 * n + 2 * m + 4) * 8
+            assert (f"{iters} iterations {iters * per_iter / 2**30:.1f} GiB "
+                    f"of result arrays ({per_iter} B per iteration)") \
+                in str(err.value)
+
     def test_near_bound_step_warns(self):
         # bound for this model is lambda_l/(lambda_u^2/2 + 2 alpha) = 2/50
         cfg = small_config(mu=0.039, trials=2, iters=60)
@@ -225,8 +246,7 @@ def _run_noting_threads(cfg, monkeypatch):
 
 
 _CURVE_FIELDS = ("msd", "centralized_msd", "reference_err", "centroid_offset",
-                 "_trial_msd", "_trial_msd_half", "_trial_cent",
-                 "_trial_cent_half")
+                 "_window_means", "_window_means_half")
 
 
 @pytest.mark.parametrize("paired", [True, False])
@@ -432,8 +452,7 @@ def test_trial_rows_do_not_depend_on_trial_count(kind, n, m, identity, paired):
             for t in (1, 2, 8)}
     full = runs[8]
     for t in (1, 2):
-        for field_ in ("_trial_msd", "_trial_msd_half", "_trial_cent",
-                       "_trial_cent_half"):
+        for field_ in ("_window_means", "_window_means_half"):
             assert np.allclose(getattr(runs[t], field_),
                                getattr(full, field_)[:t], rtol=1e-12, atol=0)
 
@@ -472,18 +491,16 @@ class TestStatisticalBehavior:
             assert gap <= max(3 * (stderr[k] + cent_se), 0.10 * cent)
 
 
+def _offset_ratio(curves):
+    """Network steady offset energy over the network steady MSD."""
+    return curves.steady_offset().mean() / curves.steady_state()[0].mean()
+
+
 class TestDecomposition:
     def test_single_agent_offset_is_zero(self):
         curves = run(small_config(n=1, trials=20, iters=300))
-        report = decomposition_diagnostics(curves)
+        report = run_summary(curves)["decomposition"]
         assert report["network"]["offset_to_msd"] == 0.0
-
-    def test_response_keys_present(self):
-        at_mu = run(small_config(trials=50, iters=2000, mu=2e-3))
-        at_half = run(small_config(trials=50, iters=4000, mu=1e-3))
-        report = decomposition_diagnostics(at_mu, at_half)
-        assert set(report) == {"per_agent", "network", "mu_halving_response"}
-        assert report["mu_halving_response"]["response"] is not None
 
     def test_zero_msd_at_half_step_gives_zero_ratio(self):
         # w* = 0 without noise: every iterate stays at zero, so both steady
@@ -493,35 +510,38 @@ class TestDecomposition:
         model = LinearModel(w_star=np.zeros(2),
                             r_u=np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
                             sigma_n2=np.zeros(3))
-        at_mu, at_half = (run(SimConfig(trials=2, iters=20, seed=1,
-                                        policy=policy, model=model, mus=mu))
-                          for mu in (2e-3, 1e-3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = decomposition_diagnostics(at_mu, at_half)
-        assert report["mu_halving_response"] == {
-            "ratio_at_mu": 0.0, "ratio_at_half_mu": 0.0, "response": None}
-        json.dumps(report, allow_nan=False)
+        for mu in (2e-3, 1e-3):
+            curves = run(SimConfig(trials=2, iters=20, seed=1, policy=policy,
+                                   model=model, mus=mu))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                summary = run_summary(curves)
+            report = summary["decomposition"]
+            assert report["network"]["offset_to_msd"] == 0.0
+            assert [row["offset_to_msd"] for row in report["per_agent"]] \
+                == [0.0] * 3
+            json.dumps(summary, allow_nan=False)
 
     def test_offsets_small_for_both_orderings_on_shared_streams(self):
         # consensus and adapt-then-combine, same seed hence same samples:
         # both centroid offsets stay far below the MSD and shrink with mu.
         # needs a non-complete ring so the combination step does not collapse
         # every iterate onto the centroid exactly
-        reports = {}
+        ratios = {}
         for kind in ("consensus", "atc"):
             at_mu = run(small_config(n=5, kind=kind, trials=150, iters=8000,
                                      mu=2e-3, seed=77))
             at_half = run(small_config(n=5, kind=kind, trials=150,
                                        iters=16_000, mu=1e-3, seed=77))
-            reports[kind] = decomposition_diagnostics(at_mu, at_half)
-        for kind, report in reports.items():
-            assert report["network"]["offset_to_msd"] < 0.25, kind
-            response = report["mu_halving_response"]["response"]
+            ratios[kind] = _offset_ratio(at_mu), _offset_ratio(at_half)
+            assert run_summary(at_mu)["decomposition"]["network"][
+                "offset_to_msd"] == ratios[kind][0]
+        for kind, (ratio_mu, ratio_half) in ratios.items():
+            assert ratio_mu < 0.25, kind
+            response = ratio_half / ratio_mu
             assert 0.3 <= response <= 0.7, (kind, response)
         # noise enters consensus iterates before averaging: larger offset
-        assert (reports["consensus"]["network"]["offset_to_msd"]
-                > reports["atc"]["network"]["offset_to_msd"])
+        assert ratios["consensus"][0] > ratios["atc"][0]
 
 
 class TestExports:

@@ -225,3 +225,17 @@ def test_adjacency_marks_every_neighborhood_column():
     for k, hood in enumerate(t.neighbors):
         expected[list(hood), k] = 1.0
     assert np.array_equal(t.adjacency(), expected)
+
+
+@pytest.mark.parametrize("topo", [ring(7), random_geometric(12, 0.5, 3),
+                                  from_edges(5, [(0, 3), (3, 4), (1, 2)])],
+                         ids=["ring", "random_geometric", "from_edges"])
+def test_pairs_are_read_only_expansions_of_the_neighbors(topo):
+    hear, agent = topo._pairs
+    assert not hear.flags.writeable and not agent.flags.writeable
+    expected = [(l, k) for k, hood in enumerate(topo.neighbors) for l in hood]
+    assert list(zip(hear.tolist(), agent.tolist())) == expected
+    # the arrays take no part in equality or hashing
+    twin = Topology(topo.n, topo.neighbors)
+    assert twin == topo and hash(twin) == hash(topo)
+    assert "_pairs" not in repr(topo)
