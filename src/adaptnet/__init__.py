@@ -6,10 +6,10 @@ and predicts, per agent, the steady-state mean-square deviation, the
 convergence rate, and the safe step-size range in closed form.
 """
 
-from .errors import (AccuracyError, AdaptNetError, ConfigError,
-                     ConnectivityError, ContractError, DivergenceError,
-                     ModelError, NumericalError, ObservabilityError,
-                     StabilityError, StructureError)
+from .errors import (AdaptNetError, ConfigError, ConnectivityError,
+                     ContractError, DivergenceError, ModelError,
+                     NumericalError, ObservabilityError, StabilityError,
+                     StructureError)
 from .model import (AssumptionConstants, LinearModel, assumption_constants,
                     limit_point, network_hessian, noise_profile)
 from .numerics import (lyapunov_quadrature_oracle, matrix_exponential,

@@ -22,10 +22,6 @@ class StabilityError(AdaptNetError):
         self.extreme = extreme
 
 
-class AccuracyError(AdaptNetError):
-    """Requested discretization is too coarse for the target accuracy."""
-
-
 class NumericalError(AdaptNetError):
     """A linear solve produced an unacceptable residual."""
 

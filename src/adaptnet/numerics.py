@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AccuracyError, NumericalError, StabilityError
+from .errors import NumericalError, StabilityError
 
 _MIN_REAL = 1e-10
 _RESIDUAL_REL = 1e-10
@@ -114,38 +114,23 @@ def solve_lyapunov_continuous(hc, sigma) -> np.ndarray:
     return x
 
 
-def lyapunov_quadrature_oracle(hc, sigma, t_max: float | None = None,
-                               steps: int | None = None) -> np.ndarray:
+def lyapunov_quadrature_oracle(hc, sigma) -> np.ndarray:
     """Integral route to the same X: composite Simpson on
     integral_0^t_max exp(-H^T t) Sigma exp(-H t) dt.
 
-    ``t_max`` defaults to the point where ||exp(-H t_max)||^2 <= 1e-14
-    (verified numerically, enlarging if needed); ``steps`` defaults to a
-    count sized for ~1e-9 relative quadrature error.  An explicit ``steps``
-    below that requirement raises ``AccuracyError``.
+    The horizon t_max is the point where ||exp(-H t_max)||^2 <= 1e-14
+    (verified numerically, enlarging if needed); the even step count is
+    sized for ~1e-9 relative quadrature error.
     """
     hc = _square(hc)
     sigma = _check_weighting(_square(sigma))
     min_real = _check_stable(hc)
-    if t_max is None:
-        t_max = float(np.log(1e14) / (2.0 * min_real))
-        while np.linalg.norm(matrix_exponential(-hc * t_max), 2) ** 2 > 1e-14:
-            t_max *= 1.5
-    elif t_max <= 0:
-        raise ValueError("t_max must be positive")
+    t_max = float(np.log(1e14) / (2.0 * min_real))
+    while np.linalg.norm(matrix_exponential(-hc * t_max), 2) ** 2 > 1e-14:
+        t_max *= 1.5
     norm = np.linalg.norm(hc, 2)
-    required = int(np.ceil(max(400.0, 60.0 * norm * t_max)))
-    required += required % 2
-    if steps is None:
-        steps = required
-    else:
-        if steps % 2:
-            raise ValueError("Simpson rule needs an even step count")
-        if steps < required:
-            raise AccuracyError(
-                f"{steps} steps is too coarse for this system; "
-                f"need at least {required}"
-            )
+    steps = int(np.ceil(max(400.0, 60.0 * norm * t_max)))
+    steps += steps % 2
     h = t_max / steps
     decay = matrix_exponential(-hc * h)
     term = sigma.copy()

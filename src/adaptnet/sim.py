@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .model import assumption_constants, limit_point
+from .model import assumption_constants
 from .policy import CombinationPolicy, PerronData, build_perron
 from .strategy import (centralized_update, distributed_update,
                        reference_error_curve, transposed_combiners)
@@ -318,8 +318,8 @@ def run(config: SimConfig) -> LearningCurves:
         )
     perron = config.perron
     theta, p, mus, mu_max = perron.theta, perron.p, perron.mus, perron.mu_max
-    w_star = limit_point(model, p)
-
+    w_star = model.w_star.copy()
+    # raises ObservabilityError when H_c is singular
     bound = stable_step_bound(assumption_constants(model, p), p)
     if mu_max > 0.9 * bound:
         warnings.warn(

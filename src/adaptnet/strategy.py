@@ -45,12 +45,10 @@ def transposed_combiners(policy: CombinationPolicy):
     )
 
 
-def _combine(c, x, out=None):
+def _combine(c, x, out):
     """Combine step C @ X for stacked rows X (N, ...): one GEMM over the
-    (N, prod(...)) view, written into ``out`` when given."""
+    (N, prod(...)) view, written into ``out``."""
     flat = x.reshape(x.shape[0], -1)
-    if out is None:
-        return (c @ flat).reshape(x.shape)
     np.matmul(c, flat, out=out.reshape(flat.shape))
     return out
 

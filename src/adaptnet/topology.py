@@ -133,21 +133,27 @@ def random_geometric(n: int, radius: float, seed: int) -> Topology:
 def _bfs_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Breadth-first levels from node 0 along the edges src[e] -> dst[e] of a
     graph on n nodes, -1 where unreached.  Sorted by source once, the edges
-    are each read once, when their source joins the frontier; each new
-    frontier is found in one pass over the n levels."""
+    are each read once, when their source joins the frontier.  Each new
+    frontier is the newly reached nodes, each kept once: the one position
+    whose write to ``slot`` landed, whichever a repeated index keeps."""
     count = np.bincount(src, minlength=n)
     end = np.cumsum(count)  # one past each node's last edge once sorted
     dst = dst[np.argsort(src)]
+    ramp = np.arange(dst.size)  # a frontier reads at most every edge once
     level = np.full(n, -1)
     level[0] = 0
+    slot = np.empty(n, dtype=np.intp)
     frontier, depth = np.zeros(1, dtype=np.intp), 0
     while frontier.size:
         depth += 1
         c = count[frontier]  # the frontier's out-edges, gathered in order
         shift = np.repeat(end[frontier] - c.cumsum(), c)
-        reach = dst[shift + np.arange(shift.size)]
-        level[reach[level[reach] < 0]] = depth
-        frontier = np.flatnonzero(level == depth)
+        reach = dst[shift + ramp[:shift.size]]
+        new = reach[level[reach] < 0]
+        level[new] = depth
+        pos = ramp[:new.size]
+        slot[new] = pos
+        frontier = new[slot[new] == pos]
     return level
 
 

@@ -6,9 +6,9 @@ import adaptnet
 
 PUBLIC = {
     # errors
-    "AccuracyError", "AdaptNetError", "ConfigError", "ConnectivityError",
-    "ContractError", "DivergenceError", "ModelError", "NumericalError",
-    "ObservabilityError", "StabilityError", "StructureError",
+    "AdaptNetError", "ConfigError", "ConnectivityError", "ContractError",
+    "DivergenceError", "ModelError", "NumericalError", "ObservabilityError",
+    "StabilityError", "StructureError",
     # model
     "AssumptionConstants", "LinearModel", "assumption_constants",
     "limit_point", "network_hessian", "noise_profile",
@@ -39,4 +39,4 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 52

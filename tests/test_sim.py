@@ -17,7 +17,7 @@ from adaptnet import (LinearModel, PerronData, SimConfig, assemble,
                       export_csv, fit_geometric_rate, network_hessian,
                       noise_profile, random_geometric, ring, run, run_summary)
 from adaptnet import sim
-from adaptnet.errors import ContractError, DivergenceError
+from adaptnet.errors import ContractError, DivergenceError, ObservabilityError
 
 
 def small_config(n=3, m=2, mu=2e-3, sigma=None, trials=50, iters=400,
@@ -91,6 +91,15 @@ class TestRunBasics:
         # the weighting vector p is undefined without a positive step
         with pytest.raises(ValueError):
             run(small_config(mu=0.0, trials=1, iters=10))
+
+    def test_unobservable_model_rejected(self):
+        # every agent sees only the first coordinate, so H_c is singular
+        r_u = np.broadcast_to(np.diag([1.0, 0.0]), (3, 2, 2)).copy()
+        cfg = small_config(trials=2, iters=10, r_u=r_u)
+        with pytest.raises(ObservabilityError,
+                           match="not jointly observable") as exc:
+            run(cfg)
+        assert abs(exc.value.extreme) <= 1e-10
 
     def test_vanishing_step_freezes_state(self):
         cfg = small_config(mu=1e-12, trials=1, iters=10)

@@ -1,7 +1,11 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
-from adaptnet import Topology, from_edges, is_connected, random_geometric, ring
+from adaptnet import (Topology, from_edges, is_connected, is_primitive,
+                      random_geometric, ring)
 from adaptnet.errors import ConnectivityError
 from adaptnet.topology import _bfs_levels
 
@@ -166,6 +170,64 @@ def test_bfs_levels_are_shortest_directed_distances():
             np.minimum.at(dist, dst, dist[src] + 1)
         want = np.where(np.isinf(dist), -1, dist).astype(int)
         assert np.array_equal(_bfs_levels(n, src, dst), want)
+
+
+def deque_levels(n, src, dst):
+    """Plain breadth-first search over adjacency lists: the loop reference."""
+    out = [[] for _ in range(n)]
+    for k, l in zip(src.tolist(), dst.tolist()):
+        out[k].append(l)
+    level = [-1] * n
+    level[0] = 0
+    queue = collections.deque([0])
+    while queue:
+        k = queue.popleft()
+        for l in out[k]:
+            if level[l] < 0:
+                level[l] = level[k] + 1
+                queue.append(l)
+    return np.array(level)
+
+
+def edge_graphs():
+    """(n, src, dst): ring, path, star, and seeded random directed graphs,
+    one of them strongly connected with period 2."""
+    hear, agent = ring(2000)._pairs
+    yield 2000, agent, hear
+    path = np.arange(49)
+    yield 50, np.r_[path, path + 1], np.r_[path + 1, path]
+    leaves = np.arange(1, 30)
+    yield 30, np.r_[0 * leaves, leaves], np.r_[leaves, 0 * leaves]
+    rng = np.random.default_rng(19)
+    for n in (5, 40, 300):
+        yield n, *rng.integers(0, n, size=(2, int(rng.integers(n, 4 * n))))
+    # a directed Hamiltonian cycle plus random chords
+    cycle = np.arange(300)
+    chords = rng.integers(0, 300, size=(2, 200))
+    yield 300, np.r_[cycle, chords[0]], np.r_[(cycle + 1) % 300, chords[1]]
+    # an even cycle plus chords that all join even to odd nodes: period 2
+    src = rng.integers(0, 60, size=150)
+    dst = 2 * rng.integers(0, 30, size=150) + 1 - src % 2
+    cycle = np.arange(60)
+    yield 60, np.r_[cycle, src], np.r_[(cycle + 1) % 60, dst]
+
+
+def test_bfs_levels_match_a_deque_search_and_primitivity_holds():
+    primitive = periodic = 0
+    for n, src, dst in edge_graphs():
+        fwd = _bfs_levels(n, src, dst)
+        back = _bfs_levels(n, dst, src)
+        assert np.array_equal(fwd, deque_levels(n, src, dst))
+        assert np.array_equal(back, deque_levels(n, dst, src))
+        strong = bool(fwd.min() >= 0 and back.min() >= 0)
+        gcd = math.gcd(*(fwd[src] + 1 - fwd[dst]).tolist())
+        a = np.zeros((n, n))
+        a[src, dst] = 1.0
+        assert is_primitive(a) is (strong and gcd == 1)
+        primitive += is_primitive(a)
+        periodic += strong and gcd == 2
+    # the ring and the chorded cycle; the path, the star and the even cycle
+    assert primitive == 2 and periodic == 3
 
 
 def test_is_connected_two_isolated_agents():
