@@ -7,8 +7,9 @@ Subcommands:
     theory --config cfg.json
     preset NAME --out cfg.json          (fig4 | partial_obs | topology_invariance)
 
-Exit codes: 0 success, 2 divergence or unstable step size, 3 config error.
-All randomness derives from the single top-level seed in the config; the
+Exit codes, chosen by ``main`` alone: 0 success, 2 divergence or a step
+size not below the stability bound, 3 a config or usage error.  All
+randomness derives from the single top-level seed in the config; the
 schema is documented in the README.
 """
 
@@ -26,8 +27,8 @@ from . import policy as policy_mod
 from . import sim as sim_mod
 from . import theory as theory_mod
 from . import topology as topology_mod
-from .errors import (AdaptNetError, ConfigError, ContractError,
-                     DivergenceError)
+from .errors import (AdaptNetError, ConfigError, DivergenceError,
+                     StabilityError)
 
 PRESET_NAMES = ("fig4", "partial_obs", "topology_invariance")
 
@@ -35,6 +36,14 @@ PRESET_NAMES = ("fig4", "partial_obs", "topology_invariance")
 # --------------------------------------------------------------------------
 # config -> objects
 # --------------------------------------------------------------------------
+
+def _object(value, name: str) -> dict:
+    """`value` if it is a JSON object; a ``ConfigError`` naming `name` if not."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, not "
+                          f"{type(value).__name__}")
+    return value
+
 
 def _build_topology(spec: dict) -> topology_mod.Topology:
     kind = spec.get("kind")
@@ -44,8 +53,7 @@ def _build_topology(spec: dict) -> topology_mod.Topology:
         return topology_mod.random_geometric(
             int(spec["n"]), float(spec["radius"]), int(spec["seed"]))
     if kind == "edges":
-        return topology_mod.from_edges(
-            int(spec["n"]), [tuple(e) for e in spec["edges"]])
+        return topology_mod.from_edges(int(spec["n"]), spec["edges"])
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
@@ -65,30 +73,26 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
     m = int(spec["m"])
     w_star = _build_w_star(spec["w_star"], m)
     r_spec = spec.get("r_u", "identity")
-    # one shared matrix stays one read-only block broadcast over the
-    # agents, not N copies
     if isinstance(r_spec, str):
         if r_spec != "identity":
             raise ConfigError(f"unknown r_u spec {r_spec!r}")
-        r_u = np.broadcast_to(np.eye(m), (n, m, m))
-    else:
-        r_u = np.asarray(r_spec, dtype=float)
-        if r_u.shape == (m, m):
-            r_u = np.broadcast_to(r_u, (n, m, m))
-        elif r_u.shape != (n, m, m):
-            raise ConfigError(
-                f"r_u must be one ({m}, {m}) matrix or a ({n}, {m}, {m}) "
-                f"stack ({n} agents, m = {m}), not shape {r_u.shape}")
+        r_spec = np.eye(m)
+    r_u = np.asarray(r_spec, dtype=float)
+    if r_u.shape not in ((m, m), (n, m, m)):
+        raise ConfigError(
+            f"r_u must be one ({m}, {m}) matrix or a ({n}, {m}, {m}) "
+            f"stack ({n} agents, m = {m}), not shape {r_u.shape}")
+    # a read-only view, which the model keeps as it is: one shared matrix
+    # stays one block broadcast over the agents, and a stack is not copied
+    r_u = np.broadcast_to(r_u, (n, m, m))
     noise = spec["sigma_n2"]
     if isinstance(noise, dict):
         if noise.get("kind") != "log_uniform":
             raise ConfigError(f"unknown sigma_n2 spec {noise!r}")
-        sigma_n2 = model_mod.noise_profile(
+        noise = model_mod.noise_profile(
             n, int(noise["seed"]), float(noise.get("lo", 1e-3)),
             float(noise.get("hi", 1e-1)), bool(noise.get("anchor", True)))
-    else:
-        sigma_n2 = np.asarray(noise, dtype=float)
-    return model_mod.LinearModel(w_star=w_star, r_u=r_u, sigma_n2=sigma_n2)
+    return model_mod.LinearModel(w_star=w_star, r_u=r_u, sigma_n2=noise)
 
 
 def _build_policy(spec: dict, topo: topology_mod.Topology,
@@ -109,8 +113,6 @@ def _build_policy(spec: dict, topo: topology_mod.Topology,
         if target == "optimal":
             optimal = theory_mod.optimal_theta_for_model(model, mu_max)
             target = optimal.theta
-        else:
-            target = np.asarray(target, dtype=float)
         a = policy_mod.build_hastings(topo, target)
     else:
         raise ConfigError(f"unknown weight rule {weights!r}")
@@ -124,18 +126,17 @@ def build_experiment(
     ``sim.run`` steps, and the optimal weights solved for a Hastings
     target of ``"optimal"`` (None otherwise), which the report reuses."""
     try:
-        topo = _build_topology(cfg["topology"])
-        model = _build_model(cfg["model"], topo.n)
+        topo = _build_topology(_object(cfg["topology"], "topology"))
+        model = _build_model(_object(cfg["model"], "model"), topo.n)
         mus = policy_mod._step_sizes(cfg["mu"], topo.n)
-        policy, optimal = _build_policy(cfg.get("policy", {}), topo, model,
-                                        float(mus.max()))
+        policy, optimal = _build_policy(
+            _object(cfg.get("policy", {}), "policy"), topo, model,
+            float(mus.max()))
         experiment = sim_mod.SimConfig(
             trials=int(cfg.get("trials", 100)),
             iters=int(cfg.get("iters", 10_000)),
             seed=int(cfg.get("seed", 0)),
-            policy=policy,
-            model=model,
-            mus=mus,
+            policy=policy, model=model, mus=mus,
             steady_window=float(cfg.get("steady_window", 0.1)),
             paired_streams=bool(cfg.get("paired_streams", False)),
         )
@@ -162,6 +163,9 @@ def theory_block(cfg: dict, experiment: sim_mod.SimConfig,
     variants = cfg.get("compare_topologies")
     if not variants:
         return own, own
+    if not isinstance(variants, list):
+        raise ConfigError("compare_topologies must be a list of topologies, "
+                          f"not {type(variants).__name__}")
     reports = {json.dumps(cfg["topology"], sort_keys=True): own}
     blocks = []
     for variant in variants:
@@ -171,31 +175,19 @@ def theory_block(cfg: dict, experiment: sim_mod.SimConfig,
                 *build_experiment(dict(cfg, topology=variant)))
         blocks.append({"topology": variant, "theory": reports[key]})
     msds = [b["theory"]["msd_first_order"] for b in blocks]
-    return own, {
-        "variants": blocks,
-        "max_abs_msd_delta": float(max(msds) - min(msds)),
-    }
-
-
-def _unstable(cfg: dict, mu_max: float, own: dict) -> bool:
-    """True, with a message on stderr, when the step size is not below the
-    stability bound and the config does not set allow_unstable."""
-    if mu_max < own["mu_bound"] or cfg.get("allow_unstable"):
-        return False
-    print(f"step size {mu_max:.3e} is not below the stability bound "
-          f"{own['mu_bound']:.3e}; set allow_unstable to force",
-          file=sys.stderr)
-    return True
+    return own, {"variants": blocks,
+                 "max_abs_msd_delta": float(max(msds) - min(msds))}
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return _object(cfg, f"config {path}")
 
 
 def _dump(obj: dict) -> str:
@@ -206,37 +198,37 @@ def _dump(obj: dict) -> str:
 # subcommands
 # --------------------------------------------------------------------------
 
+def _prepare(config_path: str, trials=None, iters=None, seed=None,
+             strategy=None) -> tuple[dict, sim_mod.SimConfig, dict, dict]:
+    """``run`` and ``theory``'s front half: (config with the overrides
+    applied, experiment, report of the simulated topology, theory block).
+    Raises ``StabilityError`` for a step size not below the stability
+    bound unless the config sets allow_unstable."""
+    cfg = _load_config(config_path)
+    overrides = {"trials": trials, "iters": iters, "seed": seed}
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    if strategy is not None:
+        cfg["policy"] = dict(_object(cfg.get("policy", {}), "policy"),
+                             kind=strategy)
+    experiment, optimal = build_experiment(cfg)
+    own, block = theory_block(cfg, experiment, optimal)
+    mu_max, bound = experiment.perron.mu_max, own["mu_bound"]
+    if not (mu_max < bound or cfg.get("allow_unstable")):
+        raise StabilityError(
+            f"step size {mu_max:.3e} is not below the stability bound "
+            f"{bound:.3e}; set allow_unstable to force")
+    return cfg, experiment, own, block
+
+
 def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
-            seed=None, strategy=None) -> int:
-    try:
-        cfg = _load_config(config_path)
-        if trials is not None:
-            cfg["trials"] = trials
-        if iters is not None:
-            cfg["iters"] = iters
-        if seed is not None:
-            cfg["seed"] = seed
-        if strategy is not None:
-            cfg.setdefault("policy", {})["kind"] = strategy
-        experiment, optimal = build_experiment(cfg)
-        own, theory = theory_block(cfg, experiment, optimal)
-    except (AdaptNetError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    if _unstable(cfg, experiment.perron.mu_max, own):
-        return 2
-
-    try:
-        curves = sim_mod.run(experiment)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:  # e.g. block buffers past physical memory
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-
+            seed=None, strategy=None) -> None:
+    cfg, experiment, own, theory = _prepare(config_path, trials, iters,
+                                            seed, strategy)
+    # a refused run leaves no directory; a bad --out fails before the run
+    sim_mod._check_memory(experiment)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    curves = sim_mod.run(experiment)
     sim_mod.export_csv(curves, out / "curves.csv")
     (out / "theory.json").write_text(_dump(theory))
     report = {
@@ -249,21 +241,10 @@ def cmd_run(config_path: str, out_dir: str, trials=None, iters=None,
     (out / "report.json").write_text(_dump(report))
     print(f"wrote {out / 'curves.csv'}, {out / 'report.json'}, "
           f"{out / 'theory.json'}")
-    return 0
 
 
-def cmd_theory(config_path: str) -> int:
-    try:
-        cfg = _load_config(config_path)
-        experiment, optimal = build_experiment(cfg)
-        own, block = theory_block(cfg, experiment, optimal)
-    except (AdaptNetError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    if _unstable(cfg, experiment.perron.mu_max, own):
-        return 2
-    sys.stdout.write(_dump(block))
-    return 0
+def cmd_theory(config_path: str) -> None:
+    sys.stdout.write(_dump(_prepare(config_path)[3]))
 
 
 def _preset_config(name: str) -> dict:
@@ -326,19 +307,23 @@ def _preset_config(name: str) -> dict:
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def cmd_preset(name: str, out_path: str) -> int:
-    try:
-        cfg = _preset_config(name)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    Path(out_path).write_text(_dump(cfg))
+def cmd_preset(name: str, out_path: str) -> None:
+    Path(out_path).write_text(_dump(_preset_config(name)))
     print(f"wrote {out_path}")
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``ConfigError`` (exit 3): 2 means divergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    """Run one subcommand; the one place where a failure becomes an exit
+    code."""
+    parser = _Parser(
         prog="adaptnet",
         description="Distributed-adaptation experiments: simulate learning "
                     "curves and check them against closed-form predictions.",
@@ -360,15 +345,23 @@ def main(argv=None) -> int:
     p_preset.add_argument("name")
     p_preset.add_argument("--out", required=True)
 
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out, trials=args.trials,
-                       iters=args.iters, seed=args.seed,
-                       strategy=args.strategy)
-    if args.command == "theory":
-        return cmd_theory(args.config)
-    return cmd_preset(args.name, args.out)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "run":
+            cmd_run(args.config, args.out, trials=args.trials,
+                    iters=args.iters, seed=args.seed, strategy=args.strategy)
+        elif args.command == "theory":
+            cmd_theory(args.config)
+        else:
+            cmd_preset(args.name, args.out)
+    except DivergenceError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 2
+    except StabilityError as exc:  # the step size refused by _prepare
+        print(exc, file=sys.stderr)
+        return 2
+    except (AdaptNetError, ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be made or written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    return 0

@@ -15,7 +15,7 @@ class StructureError(AdaptNetError):
 
 
 class StabilityError(AdaptNetError):
-    """A matrix fails the stability condition required by a solver."""
+    """A matrix or a step size fails a stability condition."""
 
     def __init__(self, message, extreme=None):
         super().__init__(message)

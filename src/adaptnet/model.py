@@ -108,10 +108,11 @@ class LinearModel:
     """Per-agent Gaussian linear regression sharing one parameter vector.
 
     w_star    (M,) shared parameter
-    r_u       (N, M, M) per-agent regressor covariances, symmetric PSD;
-              kept as given, so a read-only block broadcast over the agents
-              stays one block
+    r_u       (N, M, M) per-agent regressor covariances, symmetric PSD
     sigma_n2  (N,) per-agent noise variances, nonnegative
+
+    Each is stored as a read-only copy, so that no later edit skips the
+    checks; a read-only r_u (a block broadcast over the agents) is kept.
     """
 
     w_star: np.ndarray
@@ -120,15 +121,17 @@ class LinearModel:
     _factors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.w_star = np.asarray(self.w_star, dtype=float)
-        self.r_u = np.asarray(self.r_u, dtype=float)
-        self.sigma_n2 = np.asarray(self.sigma_n2, dtype=float)
+        self.w_star = np.array(self.w_star, dtype=float)
+        self.sigma_n2 = np.array(self.sigma_n2, dtype=float)
+        r = np.asarray(self.r_u, dtype=float)
+        self.r_u = r = r.copy() if r.flags.writeable else r
+        for v in (self.w_star, self.r_u, self.sigma_n2):
+            v.setflags(write=False)
         if self.w_star.ndim != 1:
             raise ModelError("w_star must be one-dimensional")
         m = self.w_star.size
         if not m:
             raise ModelError("w_star is empty: the dimension M must be at least 1")
-        r = self.r_u
         if r.ndim != 3 or r.shape[1:] != (m, m) or not len(r):
             raise ModelError(f"r_u must have shape (N, {m}, {m}) with N >= 1, "
                              f"not {r.shape}")

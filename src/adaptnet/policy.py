@@ -138,13 +138,15 @@ def _step_sizes(mus, n: int) -> np.ndarray:
 
 def build_perron(policy: CombinationPolicy, mus) -> PerronData:
     """Perron data for an assembled policy and a step-size profile (one
-    per agent, or a scalar for all): the step-size-weighted network
-    weights p_k = (mu_k/mu_max) (A2 theta)_k."""
+    per agent, or a scalar for all), read-only as the policy is: the
+    step-size-weighted network weights p_k = (mu_k/mu_max) (A2 theta)_k."""
     theta = policy.theta
     mus = _step_sizes(mus, theta.size)
     mu_max = float(mus.max())
     pi = policy.a2 @ theta
     p = (mus / mu_max) * pi
+    for v in (mus, pi, p):
+        v.setflags(write=False)
     return PerronData(theta=theta, pi=pi, p=p, mus=mus, mu_max=mu_max)
 
 

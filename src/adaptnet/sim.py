@@ -22,13 +22,12 @@ two half-blocks sized by normals, not iterations: half is
 ceil(``_DRAW_NORMALS`` / width) rows, at least ``_MIN_HALF`` and at most
 ``_HALF`` = 128, so a per-trial draw call holds about 4 096 normals
 where neither bound applies.  Streams up to 32 normals wide keep 128-row
-halves; the canonical 60-wide stream takes 69 rows (400 trials: 26.5 MB
-where 256 rows took 49.2 MB), and fig4's 330-wide stream the 32-row
-floor (50 trials: 8.4 MB, from 33.8 MB).  A worker thread draws the next
-half for every trial while the main thread steps through the current one
-(numpy's normal fill releases the interpreter lock), and the main
-thread, once through its half, draws the trials the worker has not
-reached.  Each generator is called in the same order over the same
+halves; the canonical 60-wide stream takes 69 rows (400 trials: 26.5 MB),
+and fig4's 330-wide stream the 32-row floor (50 trials: 8.4 MB).  A
+worker thread draws the next half for every trial while the main thread
+steps through the current one (numpy's normal fill releases the
+interpreter lock), and the main thread, once through its half, draws the
+trials the worker has not reached.  Each generator is called in the same order over the same
 iterations whatever the half, and a normal fill continues its stream
 across calls, so the results depend neither on the half-block size nor
 on which thread draws.  No worker is used when the process may run on
@@ -145,7 +144,6 @@ class SimConfig:
         if not 0.0 < self.steady_window <= 0.5:
             raise ValueError("steady_window must lie in (0, 0.5]")
         perron = build_perron(self.policy, self.mus)
-        perron.mus.setflags(write=False)
         object.__setattr__(self, "perron", perron)
         object.__setattr__(self, "mus", perron.mus)
 
@@ -274,31 +272,13 @@ def _use_worker(width: int) -> bool:
     return cpus > 1 and width >= _WORKER_MIN_WIDTH
 
 
-def run(config: SimConfig) -> LearningCurves:
-    """Evolve all three recursions and accumulate learning curves.
-
-    Agents start from zero, so the curves begin in the coordinated
-    (reference-tracking) phase directly.  The Monte Carlo recursions are
-    stepped in batches of k iterations whose raw draws fit
-    ``_BATCH_BYTES``: one (u, d) transform and one statistics pass per
-    batch; the batch buffers are bounded by that budget.  The
-    reference curve is ``reference_error_curve``'s closed form.  Raises
-    ``DivergenceError`` at the first iteration, and its first trial
-    (agents before the centralized row), where a trajectory leaves the
-    trust region, which signals an unstable step size; the steps a batch
-    takes past that point raise no overflow warnings.  Raises
-    ``ContractError`` before any work when the random-draw block buffers,
-    T * 2 * half * (N*M + N) * 8 bytes per stream with half the
-    ``_half_block`` of that width (128 rows up to 32 normals wide, 69 for
-    the canonical 60, 32 for fig4's 330), and the per-iteration result
-    arrays, at most (3N + 2M + 4) * 8 bytes per iteration, together exceed
-    physical memory.
-    """
-    model, policy = config.model, config.policy
-    n, m = model.n_agents, model.m
-    width = model.stream_width
-    half_rows = _half_block(width)
-    block = 2 * half_rows
+def _check_memory(config: SimConfig) -> None:
+    """``ContractError`` when the block buffers, T * 2 * half * (N*M + N) * 8
+    bytes per stream, and the result arrays, at most (3N + 2M + 4) * 8 bytes
+    per iteration, together exceed physical memory."""
+    model = config.model
+    n, m, width = model.n_agents, model.m, model.stream_width
+    block = 2 * _half_block(width)
     n_streams = 1 if config.paired_streams else 2
     blocks = n_streams * config.trials * block * width * 8
     # per iteration: the (N + 1) squared-error sums and N offsets, the
@@ -316,10 +296,31 @@ def run(config: SimConfig) -> LearningCurves:
             f"({per_iter} B per iteration), more than the "
             f"{have / 2**30:.1f} GiB of physical memory"
         )
+
+
+def run(config: SimConfig) -> LearningCurves:
+    """Evolve all three recursions and accumulate learning curves, in the
+    blocks and batches the module docstring lays out.
+
+    Agents start from zero, so the curves begin in the coordinated
+    (reference-tracking) phase directly.  Raises ``DivergenceError`` at
+    the first iteration, and its first trial (agents before the
+    centralized row), where a trajectory leaves the trust region, which
+    signals an unstable step size; the steps a batch takes past that
+    point raise no overflow warnings.  Raises ``ContractError`` before
+    any work when the buffers exceed physical memory (``_check_memory``).
+    """
+    _check_memory(config)
+    model, policy = config.model, config.policy
+    n, m, width = model.n_agents, model.m, model.stream_width
+    half_rows = _half_block(width)
+    block = 2 * half_rows
     perron = config.perron
     theta, p, mus, mu_max = perron.theta, perron.p, perron.mus, perron.mu_max
-    w_star = model.w_star.copy()
-    # raises ObservabilityError when H_c is singular
+    w_star = model.w_star
+    # the constants again, though the CLI's report holds mu_bound: a library
+    # caller has no report, and the CLI refuses an unstable step from that
+    # report before run.  Raises ObservabilityError when H_c is singular
     bound = stable_step_bound(assumption_constants(model, p), p)
     if mu_max > 0.9 * bound:
         warnings.warn(

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptnet
 from adaptnet import policy as policy_mod
+from adaptnet import sim as sim_mod
 from adaptnet import theory as theory_mod
 from adaptnet.cli import build_experiment, main
 
@@ -122,6 +128,81 @@ class TestRun:
         assert "divergence" in capsys.readouterr().err
 
 
+def _malformed(tmp_path, case):
+    """argv for one malformed input, and a fragment of its message."""
+    cfg = write_config(tmp_path, TINY_CONFIG)
+    out = str(tmp_path / "out")
+    if case == "top level not an object":
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        return (["run", "--config", str(path), "--out", out, "--trials", "5"],
+                "must be a JSON object, not list")
+    if case.startswith("policy a string"):
+        path = write_config(tmp_path, dict(TINY_CONFIG, policy="atc"))
+        argv = (["theory", "--config", str(path)] if case.endswith("theory")
+                else ["run", "--config", str(path), "--out", out,
+                      "--strategy", "cta"])
+        return argv, "policy must be a JSON object, not str"
+    if case == "compare_topologies an object":
+        path = write_config(tmp_path, dict(
+            TINY_CONFIG, compare_topologies=TINY_CONFIG["topology"]))
+        return (["theory", "--config", str(path)],
+                "compare_topologies must be a list")
+    if case == "run --out an existing file":
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return ["run", "--config", str(cfg), "--out", str(taken)], "exists"
+    if case == "preset --out in a missing directory":
+        return (["preset", "fig4", "--out",
+                 str(tmp_path / "missing" / "x.json")], "No such file")
+    if case == "usage: run without --out":
+        return (["run", "--config", str(cfg)],
+                "the following arguments are required: --out")
+    assert case == "usage: unknown --strategy"
+    return (["run", "--config", str(cfg), "--out", out, "--strategy", "foo"],
+            "invalid choice: 'foo'")
+
+
+@pytest.mark.parametrize("case", [
+    "top level not an object", "policy a string: theory",
+    "policy a string: run --strategy", "compare_topologies an object",
+    "run --out an existing file", "preset --out in a missing directory",
+    "usage: run without --out", "usage: unknown --strategy",
+])
+def test_malformed_input_exits_3_before_any_simulation(tmp_path, monkeypatch,
+                                                       capsys, case):
+    argv, fragment = _malformed(tmp_path, case)
+
+    def entered(*args, **kwargs):
+        pytest.fail("sim.run was entered")
+
+    monkeypatch.setattr(sim_mod, "run", entered)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and fragment in err
+    assert "Traceback" not in err
+
+
+def test_entry_point_exit_status(tmp_path):
+    """``python -m adaptnet``'s process status, through ``__main__``."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(adaptnet.__file__).resolve().parents[1]))
+    tiny = write_config(tmp_path, TINY_CONFIG)
+    unstable = write_config(tmp_path, dict(TINY_CONFIG, mu=1.0), "mu.json")
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("[]")
+    for argv, status in (
+            (["run", "--config", str(tiny), "--out", str(tmp_path / "o")], 0),
+            (["theory", "--config", str(unstable)], 2),
+            (["run", "--config", str(tiny)], 3),
+            (["theory", "--config", str(malformed)], 3)):
+        done = subprocess.run([sys.executable, "-m", "adaptnet", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == status, (argv, done.stderr)
+        assert "Traceback" not in done.stderr
+    assert (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "theory"])
 def test_perron_vector_is_solved_once(tmp_path, monkeypatch, capsys, command):
     calls = {"perron_vector": 0, "is_primitive": 0}
@@ -195,6 +276,17 @@ class TestMemory:
         assert experiment.model.r_u.strides[0] == 0
         assert experiment.model._factors is None
         assert optimal is not None
+
+    def test_explicit_stack_is_kept_as_parsed(self):
+        # the (N, M, M) array parsed from the config is the model's, not
+        # copied again: one stack in all
+        stack = np.broadcast_to(np.eye(self.M), (self.N, self.M, self.M))
+        cfg = dict(self.CONFIG,
+                   model=dict(self.CONFIG["model"], r_u=stack.tolist()))
+        (experiment, _), peak = self.traced_peak(
+            lambda: build_experiment(cfg))
+        assert peak < 1.5 * self.N * self.M ** 2 * 8
+        assert not experiment.model.r_u.flags.writeable
 
     def test_report_forms_m_by_m_sums_only(self):
         experiment, _ = build_experiment(self.CONFIG)

@@ -102,6 +102,22 @@ class TestValidation:
         with pytest.raises(ModelError, match=r"one entry per agent \(3\)"):
             make_model(m=2, n=3, sigma_n2=[0.1, 0.1])
 
+    def test_arrays_are_read_only_copies(self):
+        # an edit of the caller's arrays after construction changes nothing
+        w_star, sigma_n2 = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+        r_u = np.stack([np.eye(2), np.diag([1.0, 3.0])])
+        model = LinearModel(w_star=w_star, r_u=r_u, sigma_n2=sigma_n2)
+        w_star[0] = r_u[0, 0, 0] = sigma_n2[0] = np.nan
+        assert np.isfinite(model.w_star).all()
+        assert np.isfinite(model.r_u).all()
+        assert np.isfinite(model.sigma_n2).all()
+        for name in ("w_star", "r_u", "sigma_n2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0] = -5.0
+        # a read-only stack is kept, not copied
+        frozen = np.broadcast_to(np.eye(2), (2, 2, 2))
+        assert make_model(r_u=frozen).r_u is frozen
+
     @pytest.mark.parametrize("view", [False, True])
     def test_identity_model_keeps_no_factor_stack(self, view):
         r_u = np.broadcast_to(np.eye(3), (5, 3, 3))

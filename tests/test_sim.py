@@ -641,6 +641,34 @@ class TestExports:
         assert summary["centralized"]["steady_msd"] > 0
 
 
+# edits of the experiment's arrays that once changed a later report or run:
+# a negative noise variance gave a negative first-order MSD, a NaN w* a
+# DivergenceError at iteration 0, and zero p an ObservabilityError
+EDITS = {
+    "model.sigma_n2": lambda cfg, curves: cfg.model.sigma_n2.__setitem__(
+        0, -5.0),
+    "model.w_star": lambda cfg, curves: cfg.model.w_star.__setitem__(
+        0, np.nan),
+    "curves.p": lambda cfg, curves: curves.p.__setitem__(slice(None), 0.0),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_experiment_arrays_are_read_only(edit):
+    cfg = small_config(trials=4, iters=50)
+    report = build_report(cfg.model, cfg.policy, cfg.perron)
+    curves = run(cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        EDITS[edit](cfg, curves)
+    again = build_report(cfg.model, cfg.policy, cfg.perron)
+    assert again.msd_first_order == report.msd_first_order > 0
+    assert again.mu_bound == report.mu_bound
+    rerun = run(cfg)
+    for name in ("msd", "centralized_msd", "reference_err",
+                 "centroid_offset", "w_star", "p"):
+        assert np.array_equal(getattr(rerun, name), getattr(curves, name))
+
+
 class TestConfigValidation:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
