@@ -45,15 +45,33 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _int(value, name: str) -> int:
+    """`value` if it is a JSON integer; a ``ConfigError`` naming `name` if
+    not (``true`` and ``2.9`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    """`value` if it is a JSON boolean; a ``ConfigError`` naming `name` if
+    not (``"no"`` and ``0`` included)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
 def _build_topology(spec: dict) -> topology_mod.Topology:
     kind = spec.get("kind")
     if kind == "ring":
-        return topology_mod.ring(int(spec["n"]))
+        return topology_mod.ring(_int(spec["n"], "topology.n"))
     if kind == "random_geometric":
         return topology_mod.random_geometric(
-            int(spec["n"]), float(spec["radius"]), int(spec["seed"]))
+            _int(spec["n"], "topology.n"), float(spec["radius"]),
+            _int(spec["seed"], "topology.seed"))
     if kind == "edges":
-        return topology_mod.from_edges(int(spec["n"]), spec["edges"])
+        return topology_mod.from_edges(_int(spec["n"], "topology.n"),
+                                       spec["edges"])
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
@@ -61,7 +79,8 @@ def _build_w_star(spec, m: int) -> np.ndarray:
     if isinstance(spec, dict):
         if spec.get("kind") != "seeded_unit":
             raise ConfigError(f"unknown w_star spec {spec!r}")
-        v = np.random.default_rng(int(spec["seed"])).standard_normal(m)
+        v = np.random.default_rng(
+            _int(spec["seed"], "model.w_star.seed")).standard_normal(m)
         return v / np.linalg.norm(v)
     v = np.asarray(spec, dtype=float)
     if v.shape != (m,):
@@ -70,7 +89,7 @@ def _build_w_star(spec, m: int) -> np.ndarray:
 
 
 def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
-    m = int(spec["m"])
+    m = _int(spec["m"], "model.m")
     w_star = _build_w_star(spec["w_star"], m)
     r_spec = spec.get("r_u", "identity")
     if isinstance(r_spec, str):
@@ -90,8 +109,9 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
         if noise.get("kind") != "log_uniform":
             raise ConfigError(f"unknown sigma_n2 spec {noise!r}")
         noise = model_mod.noise_profile(
-            n, int(noise["seed"]), float(noise.get("lo", 1e-3)),
-            float(noise.get("hi", 1e-1)), bool(noise.get("anchor", True)))
+            n, _int(noise["seed"], "model.sigma_n2.seed"),
+            float(noise.get("lo", 1e-3)), float(noise.get("hi", 1e-1)),
+            _bool(noise.get("anchor", True), "model.sigma_n2.anchor"))
     return model_mod.LinearModel(w_star=w_star, r_u=r_u, sigma_n2=noise)
 
 
@@ -133,12 +153,13 @@ def build_experiment(
             _object(cfg.get("policy", {}), "policy"), topo, model,
             float(mus.max()))
         experiment = sim_mod.SimConfig(
-            trials=int(cfg.get("trials", 100)),
-            iters=int(cfg.get("iters", 10_000)),
-            seed=int(cfg.get("seed", 0)),
+            trials=_int(cfg.get("trials", 100), "trials"),
+            iters=_int(cfg.get("iters", 10_000), "iters"),
+            seed=_int(cfg.get("seed", 0), "seed"),
             policy=policy, model=model, mus=mus,
             steady_window=float(cfg.get("steady_window", 0.1)),
-            paired_streams=bool(cfg.get("paired_streams", False)),
+            paired_streams=_bool(cfg.get("paired_streams", False),
+                                 "paired_streams"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -210,10 +231,11 @@ def _prepare(config_path: str, trials=None, iters=None, seed=None,
     if strategy is not None:
         cfg["policy"] = dict(_object(cfg.get("policy", {}), "policy"),
                              kind=strategy)
+    allow_unstable = _bool(cfg.get("allow_unstable", False), "allow_unstable")
     experiment, optimal = build_experiment(cfg)
     own, block = theory_block(cfg, experiment, optimal)
     mu_max, bound = experiment.perron.mu_max, own["mu_bound"]
-    if not (mu_max < bound or cfg.get("allow_unstable")):
+    if not (mu_max < bound or allow_unstable):
         raise StabilityError(
             f"step size {mu_max:.3e} is not below the stability bound "
             f"{bound:.3e}; set allow_unstable to force")

@@ -181,14 +181,17 @@ class LinearModel:
 
     # --- sampling --------------------------------------------------------
     def regressors_from_raw(self, raw: np.ndarray):
-        """Map raw standard normals (*steps, T, N*M + N) to u
-        (*steps, N, M, T) and d (*steps, N, T): any leading batch axes
-        stay first, the last one trails the agent axes.  One sample
-        (N*M + N,) maps to u (N, M) and d (N,).
+        """Map raw standard normals (*steps, T, N*M + N) to the regressors
+        u (*steps, N, M, T) and the scaled measurement noise v
+        (*steps, N, T): any leading batch axes stay first, the last one
+        trails the agent axes.  One sample (N*M + N,) maps to u (N, M) and
+        v (N,).  The measurement is d = u w* + v (``sample_network``);
+        ``sim.run`` steps the deviation from w*, whose gradients take v in
+        place of d, and never forms d.
 
         Per network sample the stream is laid out regressors-first:
         N*M values for the regressors, then N for the measurement noise.
-        Each step's u[s] and d[s] is one contiguous block, so a batch of
+        Each step's u[s] and v[s] is one contiguous block, so a batch of
         steps (``sim.run``'s rows of T trials) is transformed in one call
         and stepped through slice by slice.
         """
@@ -202,18 +205,23 @@ class LinearModel:
         u = stream[..., : n * m, :].reshape(stream.shape[:-2] + (n, m, -1))
         if self._factors is not None:
             u = np.einsum("kij,...kjt->...kit", self._factors, u)
-        noise = stream[..., n * m:, :]
-        noise *= np.sqrt(self.sigma_n2)[:, None]
-        d = np.einsum("...kmt,m->...kt", u, self.w_star)
-        d += noise
-        return (u[..., 0], d[..., 0]) if single else (u, d)
+        v = stream[..., n * m:, :]
+        v *= np.sqrt(self.sigma_n2)[:, None]
+        return (u[..., 0], v[..., 0]) if single else (u, v)
 
     def sample_network(self, rng, size: tuple = ()):
         """Fresh samples for every agent, laid out as ``regressors_from_raw``
-        lays them out: u (N, M) and d (N,) for size (), u (N, M, T) and
-        d (N, T) for size (T,)."""
-        raw = rng.standard_normal(tuple(size) + (self.stream_width,))
-        return self.regressors_from_raw(raw)
+        lays them out, with the measurement d = u w* + v in place of v:
+        u (N, M) and d (N,) for size (), u (N, M, T) and d (N, T) for
+        size (T,)."""
+        size = tuple(size)
+        raw = rng.standard_normal(size + (self.stream_width,))
+        # one sample goes through as a single trial, (1, N*M + N), so that
+        # d is formed on the same (N, M, 1) arrays as a batch's
+        u, v = self.regressors_from_raw(raw if size else raw[None])
+        d = np.einsum("...kmt,m->...kt", u, self.w_star)
+        d += v
+        return (u, d) if size else (u[..., 0], d[..., 0])
 
     # --- gradients -------------------------------------------------------
     def stochastic_gradient_network(self, x, u, d, out=None) -> np.ndarray:

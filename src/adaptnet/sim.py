@@ -10,7 +10,13 @@ convergence rates, and a JSON summary with the centroid decomposition
 Trials are evolved in lockstep, agent-major: the iterates are one
 (N + 1, M, T) array, rows 0..N-1 the agents and row N the centralized
 iterate, with the T trials on the last axis, so each combine is one
-(N, N) @ (N, M*T) product.  Each trial owns a counter-derived random
+(N, N) @ (N, M*T) product.  The array holds the deviation x = w - w*,
+not w: every row starts at w = 0, so at -w*, and is stepped on the
+regressors and the scaled noise (u, v) in place of the measurement
+d = u w* + v.  The combiners are left-stochastic, so they commute with
+the shift, and the gradient reads only the residual d - u w = v - u x;
+the squared error is then sum x^2, and the rounding of each combine is
+relative to the error, not to w*.  Each trial owns a counter-derived random
 stream, consumed in fixed-size iteration blocks laid out iteration-major
 with the regressor normals of all agents followed by the measurement
 noises; the draws do not depend on the trial count, and a trial's
@@ -20,9 +26,9 @@ order depends on M*T).
 Each stream's block buffer, (T, 2 * half, width), is a double buffer of
 two half-blocks sized by normals, not iterations: half is
 ceil(``_DRAW_NORMALS`` / width) rows, at least ``_MIN_HALF`` and at most
-``_HALF`` = 128, so a per-trial draw call holds about 4 096 normals
-where neither bound applies.  Streams up to 32 normals wide keep 128-row
-halves; the canonical 60-wide stream takes 69 rows (400 trials: 26.5 MB),
+``_HALF`` = 128, so a per-trial draw call holds about 3 072 normals
+where neither bound applies.  Streams up to 24 normals wide keep 128-row
+halves; the canonical 60-wide stream takes 52 rows (400 trials: 20.0 MB),
 and fig4's 330-wide stream the 32-row floor (50 trials: 8.4 MB).  A
 worker thread draws the next half for every trial while the main thread
 steps through the current one (numpy's normal fill releases the
@@ -39,7 +45,7 @@ forth.
 The stepping thread walks through its chunk (a half-block, or the whole
 block without a worker) in batches of k iterations: k is the largest
 count whose raw draws, k * T * (N*M + N) * 8 bytes, fit ``_BATCH_BYTES``,
-but at least 1 and at most the chunk.  Per batch the (u, d) transform is
+but at least 1 and at most the chunk.  Per batch the (u, v) transform is
 one call, the kernels write into k preallocated iterate slots (two banks
 used in turn; with k = 1 a plain ping-pong), and one statistics pass
 covers the whole batch.  Every step does the same arithmetic whatever k
@@ -71,15 +77,15 @@ _BLOCK = 256  # the largest block buffer, in iterations
 _HALF = _BLOCK // 2
 # normals per per-trial draw call: the half-block is
 # ceil(_DRAW_NORMALS / width) rows, between _MIN_HALF and _HALF.  Fewer
-# normals take more draw calls per iteration.  On perfbench's
-# canonical_atc (400 x 60, 500 iterations; a 2-vCPU VM, one BLAS thread;
-# alternating 25 s runs against 128 rows) 4 096 (69 rows) read compute_s
-# +2.4% over 10 pairs, inside the 128-row runs' quartiles, and peak RSS
-# 68.3 MB against 90.9; 3 072 (52 rows) read +8.5% over 6 pairs (4 096:
-# +3.9% in the same set) and 61.8 MB; 2 048 (35 rows) was slower in all 3
-# pairs run.  The floor bounds how often a chunk boundary starts a worker
-# thread
-_DRAW_NORMALS = 4096
+# normals take more draw calls per iteration, and the cost follows the
+# call count.  On perfbench's canonical_atc (400 x 60, 500 iterations; a
+# 2-vCPU VM, one BLAS thread), with the deviation stepped, ten alternating
+# 25 s pairs against 69 rows (4 096) stepping w itself: 2 048 (35 rows)
+# read compute_s +9.9%, faster in 0 of 10 pairs and outside the 69-row
+# runs' quartiles, and peak RSS 55.5 MB against 68.4; 3 072 (52 rows) read
+# +0.4%, inside them, and 61.9 MB.  The floor bounds how often a chunk
+# boundary starts a worker thread
+_DRAW_NORMALS = 3072
 _MIN_HALF = 32
 # narrower streams draw serially: on 2 vCPUs the worker's time over the
 # serial time was about 1.0 at width 12 and 0.87 at width 16
@@ -303,7 +309,8 @@ def run(config: SimConfig) -> LearningCurves:
     blocks and batches the module docstring lays out.
 
     Agents start from zero, so the curves begin in the coordinated
-    (reference-tracking) phase directly.  Raises ``DivergenceError`` at
+    (reference-tracking) phase directly; the stepped deviation w - w*
+    starts at -w* in every row.  Raises ``DivergenceError`` at
     the first iteration, and its first trial (agents before the
     centralized row), where a trajectory leaves the trust region, which
     signals an unstable step size; the steps a batch takes past that
@@ -353,11 +360,13 @@ def run(config: SimConfig) -> LearningCurves:
         full_start, half_start = _window_starts(iters, config.steady_window)
         window, half = iters - full_start, iters - half_start
 
-        # two banks of `batch` iterate slots, stepped into in turn: agents
-        # in rows 0..N-1, the centralized iterate in row N, trials last
-        bank, spare = np.zeros((2, batch, n + 1, m, trials))
-        w = spare[-1]
-        err = np.empty_like(bank)
+        # two banks of `batch` slots of the deviation x = w - w*, stepped
+        # into in turn: agents in rows 0..N-1, the centralized row N,
+        # trials last; every row starts at w = 0, so x = -w*
+        bank, spare = np.empty((2, batch, n + 1, m, trials))
+        x = spare[-1]
+        np.negative(w_star[:, None], out=x)
+        off_buf = np.empty((batch, n, m * trials))
         work = np.empty((n, m, trials))
         sq = np.empty((batch, n + 1, trials))
         acc = np.zeros((n + 1, trials))
@@ -375,22 +384,22 @@ def run(config: SimConfig) -> LearningCurves:
                 stop = min(start + batch, hi)
                 steps = stop - start
                 rows = slice(start % block, start % block + steps)
-                u, d = model.regressors_from_raw(raw[:, rows].swapaxes(0, 1))
-                uc, dc = (u, d) if config.paired_streams \
+                u, v = model.regressors_from_raw(raw[:, rows].swapaxes(0, 1))
+                uc, vc = (u, v) if config.paired_streams \
                     else model.regressors_from_raw(
                         raw_c[:, rows].swapaxes(0, 1))
-                slots, e, q = bank[:steps], err[:steps], sq[:steps]
-                # past a divergence the batch steps on to its end; the check
-                # below reports the first step that left the trust region
+                slots, q = bank[:steps], sq[:steps]
+                # x steps on v as w would on d (module docstring).  Past a
+                # divergence the batch steps on to its end; the check below
+                # reports the first step that left the trust region
                 with np.errstate(over="ignore", invalid="ignore"):
                     for s, nxt in enumerate(slots):
-                        distributed_update(w[:n], combiners, mus, model,
-                                           u[s], d[s], out=nxt[:n], work=work)
-                        centralized_update(w[n], p, mu_max, model, uc[s],
-                                           dc[s], out=nxt[n], work=work)
-                        w = nxt
-                    np.subtract(slots, w_star[:, None], out=e)
-                    np.einsum("skmt,skmt->skt", e, e, out=q)
+                        distributed_update(x[:n], combiners, mus, model,
+                                           u[s], v[s], out=nxt[:n], work=work)
+                        centralized_update(x[n], p, mu_max, model, uc[s],
+                                           vc[s], out=nxt[n], work=work)
+                        x = nxt
+                    np.einsum("skmt,skmt->skt", slots, slots, out=q)
 
                 if not q.max() <= _DIVERGENCE_SQ:
                     bad = ~(q <= _DIVERGENCE_SQ)
@@ -407,7 +416,7 @@ def run(config: SimConfig) -> LearningCurves:
 
                 agents = slots[:, :n].reshape(steps, n, -1)
                 off = np.subtract(agents, (theta @ agents)[:, None],
-                                  out=e[:, :n].reshape(agents.shape))
+                                  out=off_buf[:steps])
                 np.einsum("sij,sij->si", off, off, out=offsets[start:stop])
 
                 # row by row in iteration order, as a per-step sum adds

@@ -16,7 +16,10 @@ kernels ``distributed_update`` and ``centralized_update``, which
 ``sim.run`` calls too.  The kernels take the agent axis first and any
 trial axes trailing: the step functions pass iterates (N, M) and (M,),
 ``sim.run`` passes (N, M, T) and (M, T), so every combine is one
-(N, N) @ (N, M*T) matrix product.
+(N, N) @ (N, M*T) matrix product.  ``sim.run`` steps the deviation
+w - w* on the noise v in place of d = u w* + v, which gives the same
+recursion: the combiners are left-stochastic, and the gradient reads
+only the residual d - u w.
 The reference recursion is affine with the symmetric Jacobian H_c and
 contracts towards w*, the network limit point, so
 ``reference_error_curve`` gives its whole error curve in closed form;

@@ -128,10 +128,53 @@ class TestRun:
         assert "divergence" in capsys.readouterr().err
 
 
+def _with_model(**edits):
+    return dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], **edits))
+
+
+_GEOMETRIC = {"kind": "random_geometric", "n": 2, "radius": 2.0, "seed": 1}
+_NOISE = {"kind": "log_uniform", "seed": 1}
+# configs whose booleans or integers are not JSON booleans or integers,
+# each with the message fragment that names its key
+_MISTYPED = {
+    "allow_unstable a string": (dict(TINY_CONFIG, mu=1.0,
+                                     allow_unstable="no"),
+                                "allow_unstable must be true or false, "
+                                "not 'no'"),
+    "paired_streams a string": (dict(TINY_CONFIG, paired_streams="false"),
+                                "paired_streams must be true or false"),
+    "anchor a number": (_with_model(sigma_n2=dict(_NOISE, anchor=1)),
+                        "model.sigma_n2.anchor must be true or false"),
+    "n a float": (dict(TINY_CONFIG, topology={"kind": "ring", "n": 2.9}),
+                  "topology.n must be a JSON integer, not 2.9"),
+    "m a float": (_with_model(m=2.0), "model.m must be a JSON integer"),
+    "trials a float": (dict(TINY_CONFIG, trials=2.7),
+                       "trials must be a JSON integer, not 2.7"),
+    "trials true": (dict(TINY_CONFIG, trials=True),
+                    "trials must be a JSON integer, not True"),
+    "iters a float": (dict(TINY_CONFIG, iters=20.0),
+                      "iters must be a JSON integer"),
+    "seed a float": (dict(TINY_CONFIG, seed=1.5),
+                     "seed must be a JSON integer"),
+    "topology seed a float": (dict(TINY_CONFIG,
+                                   topology=dict(_GEOMETRIC, seed=1.0)),
+                              "topology.seed must be a JSON integer"),
+    "w_star seed true": (_with_model(w_star={"kind": "seeded_unit",
+                                             "seed": True}),
+                         "model.w_star.seed must be a JSON integer"),
+    "sigma_n2 seed a float": (_with_model(sigma_n2=dict(_NOISE, seed=1.0)),
+                              "model.sigma_n2.seed must be a JSON integer"),
+}
+
+
 def _malformed(tmp_path, case):
     """argv for one malformed input, and a fragment of its message."""
     cfg = write_config(tmp_path, TINY_CONFIG)
     out = str(tmp_path / "out")
+    if case in _MISTYPED:
+        bad, fragment = _MISTYPED[case]
+        path = write_config(tmp_path, bad, "bad.json")
+        return ["run", "--config", str(path), "--out", out], fragment
     if case == "top level not an object":
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -167,7 +210,7 @@ def _malformed(tmp_path, case):
     "top level not an object", "policy a string: theory",
     "policy a string: run --strategy", "compare_topologies an object",
     "run --out an existing file", "preset --out in a missing directory",
-    "usage: run without --out", "usage: unknown --strategy",
+    "usage: run without --out", "usage: unknown --strategy", *_MISTYPED,
 ])
 def test_malformed_input_exits_3_before_any_simulation(tmp_path, monkeypatch,
                                                        capsys, case):

@@ -159,13 +159,18 @@ class TestSampling:
         assert np.var(resid) == pytest.approx(0.1, rel=0.05)
 
     def test_network_sampling_matches_raw_transform(self):
-        model = make_model()
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        u1, d1 = model.sample_network(rng1, size=(4,))
-        raw = rng2.standard_normal((4, model.stream_width))
-        u2, d2 = model.regressors_from_raw(raw)
-        assert np.array_equal(u1, u2) and np.array_equal(d1, d2)
+        # the transform gives the noise v; sampling adds u w* to it, one
+        # sample as a single trial
+        model = make_model(r_u=[[[2.0, 0.5], [0.5, 1.0]]] * 2)
+        for size in ((), (4,)):
+            u1, d1 = model.sample_network(np.random.default_rng(5), size=size)
+            raw = np.random.default_rng(5).standard_normal(
+                (4 if size else 1, model.stream_width))
+            u2, v2 = model.regressors_from_raw(raw)
+            d2 = np.einsum("kmt,m->kt", u2, model.w_star) + v2
+            if not size:
+                u2, d2 = u2[..., 0], d2[..., 0]
+            assert np.array_equal(u1, u2) and np.array_equal(d1, d2)
 
     @pytest.mark.parametrize("r_u", [None, complementary_pair().r_u])
     def test_batch_of_steps_maps_step_by_step(self, r_u):
@@ -175,12 +180,12 @@ class TestSampling:
         block = np.random.default_rng(6).standard_normal(
             (4, 16, model.stream_width))
         steps = block[:, 5:8].swapaxes(0, 1)
-        u, d = model.regressors_from_raw(steps)
-        assert u.shape == (3, 2, 2, 4) and d.shape == (3, 2, 4)
+        u, v = model.regressors_from_raw(steps)
+        assert u.shape == (3, 2, 2, 4) and v.shape == (3, 2, 4)
         for s in range(3):
-            u1, d1 = model.regressors_from_raw(block[:, 5 + s])
-            assert np.array_equal(u[s], u1) and np.array_equal(d[s], d1)
-            assert u[s].flags.c_contiguous and d[s].flags.c_contiguous
+            u1, v1 = model.regressors_from_raw(block[:, 5 + s])
+            assert np.array_equal(u[s], u1) and np.array_equal(v[s], v1)
+            assert u[s].flags.c_contiguous and v[s].flags.c_contiguous
 
 
 class TestGradients:

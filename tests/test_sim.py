@@ -173,10 +173,12 @@ class TestRunBasics:
             assert threading.active_count() == threads
 
     def test_block_buffers_must_fit_memory(self):
-        # the narrow stream keeps 128-row halves, the 330-wide one takes
-        # the 32-row floor; the error names the per-trial block it sized
+        # the narrow stream keeps 128-row halves, the canonical 60-wide one
+        # takes 52 and the 330-wide one the 32-row floor; the error names
+        # the per-trial block it sized
         trials = 10**8
-        for n, m, paired, block in ((3, 2, True, 256), (30, 10, False, 64)):
+        for n, m, paired, block in ((3, 2, True, 256), (10, 5, True, 104),
+                                    (30, 10, False, 64)):
             width, streams = n * (m + 1), 1 if paired else 2
             assert 2 * sim._half_block(width) == block
             cfg = small_config(n=n, m=m, trials=trials, iters=50,
@@ -196,6 +198,22 @@ class TestRunBasics:
             assert f"{need / 2**30:.1f} GiB" in str(err.value)
             assert (f"{streams} stream(s) of a {block}-iteration x "
                     f"{width}-normal x 8 B block per trial") in str(err.value)
+
+    def test_canonical_peak_is_the_block_buffer(self):
+        # the canonical shape (10 agents, M = 5, 400 trials, one stream):
+        # the 52-row halves hold 3 120 normals per trial, a 20.0 MB block
+        # buffer; the rest (the 400 generators, the iterate banks and a
+        # step's (u, v)) measured 1.8 MB, and the margin is 4 MB
+        assert sim._half_block(60) == 52
+        cfg = small_config(n=10, m=5, trials=400, iters=80)
+        buffer = cfg.trials * 2 * 52 * 60 * 8
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer + (4 << 20)
 
     def test_result_arrays_must_fit_memory(self):
         # a billion iterations of the per-iteration curves cannot fit; the
@@ -315,13 +333,13 @@ def test_batch_size_changes_nothing(kind, paired, monkeypatch):
                                       getattr(other, name)), name
 
 
-@pytest.mark.parametrize("n, m", [(3, 2), (30, 10)])
+@pytest.mark.parametrize("n, m", [(3, 2), (10, 5), (30, 10)])
 @pytest.mark.parametrize("paired", [True, False])
 @pytest.mark.parametrize("worker", [True, False])
 def test_half_block_size_changes_nothing(worker, paired, n, m, monkeypatch):
-    # half-blocks of 32 (the floor), 35, 69 and 128 rows on a narrow and a
-    # wide stream; 37 and 300 iterations end mid-chunk for each, and 300
-    # wraps every block buffer at least once
+    # half-blocks of 32 (the floor), 35, 52 and 128 rows on a narrow, the
+    # canonical 60-wide and a 330-wide stream; 37 and 300 iterations end
+    # mid-chunk for each, and 300 wraps every block buffer at least once
     width = n * (m + 1)
     init = sim._Draws.__init__
     rows = set()
@@ -336,7 +354,7 @@ def test_half_block_size_changes_nothing(worker, paired, n, m, monkeypatch):
         cfg = small_config(n=n, m=m, mu=1e-3, trials=3, iters=iters,
                            paired=paired)
         results = []
-        for half in (32, 35, 69, 128):
+        for half in (32, 35, 52, 128):
             with monkeypatch.context() as mp:
                 mp.setattr(sim, "_DRAW_NORMALS", half * width)
                 assert sim._half_block(width) == half

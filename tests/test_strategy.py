@@ -5,9 +5,11 @@ from adaptnet import (LinearModel, SimConfig, assemble, build_metropolis,
                       build_perron, network_hessian, random_geometric,
                       reference_error_curve, ring, run, step_centralized,
                       step_distributed, step_reference)
-from adaptnet import sim
+from adaptnet import build_uniform_averaging, sim
 from adaptnet.errors import ContractError
 from adaptnet.sim import trial_seed
+from adaptnet.strategy import (centralized_update, distributed_update,
+                               transposed_combiners)
 
 
 def lms_setup(n=4, m=3, mu=1e-3, sigma=0.1, kind="atc", seed=0):
@@ -87,8 +89,6 @@ class TestFixedPointAndDeterminism:
 
     @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
     def test_zero_step_size_is_pure_averaging(self, kind):
-        from adaptnet.strategy import distributed_update, transposed_combiners
-
         topo, policy, _, model = lms_setup(kind=kind)
         w = np.random.default_rng(1).standard_normal((4, 3))
         u, d = model.sample_network(np.random.default_rng(2))
@@ -101,8 +101,6 @@ class TestFixedPointAndDeterminism:
     def test_trial_batch_matches_per_trial_textbook_form(self, factors):
         # every placement of identity factors, so every buffer path of the
         # kernel; trials trailing, written through preallocated buffers
-        from adaptnet.strategy import distributed_update
-
         _, _, _, model = lms_setup(n=5, m=3)
         rng = np.random.default_rng(factors)
         mats = [rng.random((5, 5)) for _ in range(3)]
@@ -137,6 +135,50 @@ class TestFixedPointAndDeterminism:
                              np.random.default_rng(0))
 
 
+class TestShiftInvariance:
+    """The kernels step the deviation w - w* on the noise v as they step w
+    on d = u w* + v: the combiners are left-stochastic, so they commute
+    with the shift, and the gradient reads only the residual d - u w.
+    sim.run relies on this."""
+
+    RTOL = 1e-14  # relative to max|w|; at most 3.5e-16 over 20 draws
+
+    @staticmethod
+    def _policy(kind, topo):
+        if kind != "custom":
+            return assemble(kind, build_metropolis(topo), support=topo)
+        return assemble("custom", support=topo,
+                        a1=build_uniform_averaging(topo),
+                        a0=build_metropolis(topo),
+                        a2=build_uniform_averaging(topo))
+
+    @pytest.mark.parametrize("trials", [(), (4,)], ids=["no_trials", "trials"])
+    @pytest.mark.parametrize("kind", ["consensus", "atc", "cta", "custom"])
+    def test_kernels_step_the_deviation(self, kind, trials):
+        topo, _, _, model = lms_setup(n=5, m=3, seed=4)
+        policy = self._policy(kind, topo)
+        perron = build_perron(policy, np.linspace(5e-3, 2e-2, 5))
+        rng = np.random.default_rng(6)
+        raw = rng.standard_normal(trials + (model.stream_width,))
+        u, v = model.regressors_from_raw(raw)
+        shift = model.w_star.reshape((-1,) + (1,) * len(trials))
+        d = np.einsum("km...,m->k...", u, model.w_star) + v
+        w = rng.standard_normal((5, 3) + trials)
+        tol = self.RTOL * np.abs(w).max()
+
+        got = distributed_update(w - shift, transposed_combiners(policy),
+                                 perron.mus, model, u, v)
+        want = distributed_update(w, transposed_combiners(policy),
+                                  perron.mus, model, u, d) - shift
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+        got = centralized_update(w[0] - shift, perron.p, perron.mu_max,
+                                 model, u, v)
+        want = centralized_update(w[0], perron.p, perron.mu_max, model,
+                                  u, d) - shift
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
 class TestCentralized:
     def test_noiseless_stays_at_solution(self):
         _, _, perron, model = lms_setup(sigma=0.0)
@@ -158,8 +200,39 @@ class TestCentralized:
                              ids=["paired", "unpaired"])
     @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
     def test_steps_replay_run_bit_for_bit(self, kind, paired):
-        # sim.run and the step functions share one kernel per recursion;
-        # unpaired, the centralized recursion draws from its salted stream
+        # sim.run steps the deviation x = w - w* from -w* with the shared
+        # kernels, on the regressors and scaled noise (u, v) of trial 0's
+        # stream; unpaired, the centralized recursion draws from its salted
+        # stream
+        _, policy, perron, model = lms_setup(n=10, m=5, sigma=0.05, seed=2,
+                                             kind=kind)
+        curves = run(SimConfig(trials=1, iters=300, seed=11, policy=policy,
+                               model=model, mus=1e-3, paired_streams=paired))
+        combiners = transposed_combiners(policy)
+        dist, cent = np.tile(-model.w_star, (10, 1)), -model.w_star
+        r_dist = np.random.default_rng(trial_seed(11, 0))
+        r_cent = np.random.default_rng(
+            trial_seed(11, 0, 0 if paired else sim._CENT_SALT))
+        width = model.stream_width
+        for i in range(300):
+            u, v = model.regressors_from_raw(r_dist.standard_normal(width))
+            uc, vc = model.regressors_from_raw(r_cent.standard_normal(width))
+            dist = distributed_update(dist, combiners, perron.mus, model,
+                                      u, v)
+            cent = centralized_update(cent, perron.p, perron.mu_max, model,
+                                      uc, vc)
+            assert np.array_equal(np.einsum("km,km->k", dist, dist),
+                                  curves.msd[i])
+            assert np.einsum("m,m->", cent, cent) \
+                == curves.centralized_msd[i]
+
+    @pytest.mark.parametrize("paired", [True, False],
+                             ids=["paired", "unpaired"])
+    @pytest.mark.parametrize("kind", ["consensus", "atc", "cta"])
+    def test_step_functions_agree_with_run(self, kind, paired):
+        # the public step functions step w itself, from 0, on d = u w* + v;
+        # sim.run steps w - w* on v, so the two round differently.  The
+        # largest relative gap over these six cases measured 1.4e-13
         _, policy, perron, model = lms_setup(n=10, m=5, sigma=0.05, seed=2,
                                              kind=kind)
         curves = run(SimConfig(trials=1, iters=300, seed=11, policy=policy,
@@ -168,14 +241,15 @@ class TestCentralized:
         r_dist = np.random.default_rng(trial_seed(11, 0))
         r_cent = np.random.default_rng(
             trial_seed(11, 0, 0 if paired else sim._CENT_SALT))
+        msd, cent_msd = np.empty((300, 10)), np.empty(300)
         for i in range(300):
             dist = step_distributed(dist, policy, perron, model, r_dist)
             cent = step_centralized(cent, perron, model, r_cent)
-            err, err_c = dist - curves.w_star, cent - curves.w_star
-            assert np.array_equal(np.einsum("km,km->k", err, err),
-                                  curves.msd[i])
-            assert np.einsum("m,m->", err_c, err_c) \
-                == curves.centralized_msd[i]
+            err, err_c = dist - model.w_star, cent - model.w_star
+            msd[i], cent_msd[i] = np.einsum("km,km->k", err, err), err_c @ err_c
+        np.testing.assert_allclose(msd, curves.msd, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cent_msd, curves.centralized_msd,
+                                   rtol=1e-12, atol=0)
 
     def test_mean_trajectory_tracks_reference(self):
         # distributed mean path vs deterministic reference, small steps
