@@ -53,6 +53,27 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """`value` as a float if it is a JSON number; a ``ConfigError`` naming
+    `name` if not (``"5e-4"`` and ``true`` included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a JSON number, not {value!r}")
+    return float(value)
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """`value`, a JSON number or nested lists of them, as a float array;
+    a ``ConfigError`` naming `name` for any other entry."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack += item
+        else:
+            _float(item, name if item is value else f"each entry of {name}")
+    return np.asarray(value, dtype=float)
+
+
 def _bool(value, name: str) -> bool:
     """`value` if it is a JSON boolean; a ``ConfigError`` naming `name` if
     not (``"no"`` and ``0`` included)."""
@@ -67,7 +88,8 @@ def _build_topology(spec: dict) -> topology_mod.Topology:
         return topology_mod.ring(_int(spec["n"], "topology.n"))
     if kind == "random_geometric":
         return topology_mod.random_geometric(
-            _int(spec["n"], "topology.n"), float(spec["radius"]),
+            _int(spec["n"], "topology.n"),
+            _float(spec["radius"], "topology.radius"),
             _int(spec["seed"], "topology.seed"))
     if kind == "edges":
         return topology_mod.from_edges(_int(spec["n"], "topology.n"),
@@ -82,7 +104,7 @@ def _build_w_star(spec, m: int) -> np.ndarray:
         v = np.random.default_rng(
             _int(spec["seed"], "model.w_star.seed")).standard_normal(m)
         return v / np.linalg.norm(v)
-    v = np.asarray(spec, dtype=float)
+    v = _floats(spec, "model.w_star")
     if v.shape != (m,):
         raise ConfigError(f"w_star must have {m} entries")
     return v
@@ -95,8 +117,9 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
     if isinstance(r_spec, str):
         if r_spec != "identity":
             raise ConfigError(f"unknown r_u spec {r_spec!r}")
-        r_spec = np.eye(m)
-    r_u = np.asarray(r_spec, dtype=float)
+        r_u = np.eye(m)
+    else:
+        r_u = _floats(r_spec, "model.r_u")
     if r_u.shape not in ((m, m), (n, m, m)):
         raise ConfigError(
             f"r_u must be one ({m}, {m}) matrix or a ({n}, {m}, {m}) "
@@ -110,8 +133,11 @@ def _build_model(spec: dict, n: int) -> model_mod.LinearModel:
             raise ConfigError(f"unknown sigma_n2 spec {noise!r}")
         noise = model_mod.noise_profile(
             n, _int(noise["seed"], "model.sigma_n2.seed"),
-            float(noise.get("lo", 1e-3)), float(noise.get("hi", 1e-1)),
+            _float(noise.get("lo", 1e-3), "model.sigma_n2.lo"),
+            _float(noise.get("hi", 1e-1), "model.sigma_n2.hi"),
             _bool(noise.get("anchor", True), "model.sigma_n2.anchor"))
+    else:
+        noise = _floats(noise, "model.sigma_n2")
     return model_mod.LinearModel(w_star=w_star, r_u=r_u, sigma_n2=noise)
 
 
@@ -133,6 +159,8 @@ def _build_policy(spec: dict, topo: topology_mod.Topology,
         if target == "optimal":
             optimal = theory_mod.optimal_theta_for_model(model, mu_max)
             target = optimal.theta
+        else:
+            target = _floats(target, "policy.target")
         a = policy_mod.build_hastings(topo, target)
     else:
         raise ConfigError(f"unknown weight rule {weights!r}")
@@ -148,7 +176,7 @@ def build_experiment(
     try:
         topo = _build_topology(_object(cfg["topology"], "topology"))
         model = _build_model(_object(cfg["model"], "model"), topo.n)
-        mus = policy_mod._step_sizes(cfg["mu"], topo.n)
+        mus = policy_mod._step_sizes(_floats(cfg["mu"], "mu"), topo.n)
         policy, optimal = _build_policy(
             _object(cfg.get("policy", {}), "policy"), topo, model,
             float(mus.max()))
@@ -157,7 +185,8 @@ def build_experiment(
             iters=_int(cfg.get("iters", 10_000), "iters"),
             seed=_int(cfg.get("seed", 0), "seed"),
             policy=policy, model=model, mus=mus,
-            steady_window=float(cfg.get("steady_window", 0.1)),
+            steady_window=_float(cfg.get("steady_window", 0.1),
+                                 "steady_window"),
             paired_streams=_bool(cfg.get("paired_streams", False),
                                  "paired_streams"),
         )

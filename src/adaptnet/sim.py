@@ -26,18 +26,18 @@ order depends on M*T).
 Each stream's block buffer, (T, 2 * half, width), is a double buffer of
 two half-blocks sized by normals, not iterations: half is
 ceil(``_DRAW_NORMALS`` / width) rows, at least ``_MIN_HALF`` and at most
-``_HALF`` = 128, so a per-trial draw call holds about 3 072 normals
-where neither bound applies.  Streams up to 24 normals wide keep 128-row
-halves; the canonical 60-wide stream takes 52 rows (400 trials: 20.0 MB),
+``_HALF`` = 128, so a per-trial draw call holds about 2 560 normals
+where neither bound applies.  Streams up to 20 normals wide keep 128-row
+halves; the canonical 60-wide stream takes 43 rows (400 trials: 16.5 MB),
 and fig4's 330-wide stream the 32-row floor (50 trials: 8.4 MB).  A
 worker thread draws the next half for every trial while the main thread
 steps through the current one (numpy's normal fill releases the
 interpreter lock), and the main thread, once through its half, draws the
-trials the worker has not reached.  Each generator is called in the same order over the same
-iterations whatever the half, and a normal fill continues its stream
-across calls, so the results depend neither on the half-block size nor
-on which thread draws.  No worker is used when the process may run on
-one CPU only, or when the streams are narrower than
+trials the worker has not reached.  Each generator is called in the same
+order over the same iterations whatever the half, and a normal fill
+continues its stream across calls, so the results depend neither on the
+half-block size nor on which thread draws.  No worker is used when the
+process may run on one CPU only, or when the streams are narrower than
 ``_WORKER_MIN_WIDTH`` normals per network sample, where the per-trial
 draws are too small to pay for handing the interpreter lock back and
 forth.
@@ -78,14 +78,17 @@ _HALF = _BLOCK // 2
 # normals per per-trial draw call: the half-block is
 # ceil(_DRAW_NORMALS / width) rows, between _MIN_HALF and _HALF.  Fewer
 # normals take more draw calls per iteration, and the cost follows the
-# call count.  On perfbench's canonical_atc (400 x 60, 500 iterations; a
-# 2-vCPU VM, one BLAS thread), with the deviation stepped, ten alternating
-# 25 s pairs against 69 rows (4 096) stepping w itself: 2 048 (35 rows)
-# read compute_s +9.9%, faster in 0 of 10 pairs and outside the 69-row
-# runs' quartiles, and peak RSS 55.5 MB against 68.4; 3 072 (52 rows) read
-# +0.4%, inside them, and 61.9 MB.  The floor bounds how often a chunk
-# boundary starts a worker thread
-_DRAW_NORMALS = 3072
+# call count (the worker takes the interpreter lock back after each
+# fill), so a smaller call has to be paid for by a cheaper step.  On
+# perfbench's canonical_atc (400 x 60, 500 iterations; a 2-vCPU VM, one
+# BLAS thread), with the step size folded into the kernels' residuals,
+# ten alternating 25 s pairs each against 3 072 (52 rows) and the unfused
+# kernels: 3 072 read compute_s -3.8%, faster in 9 of 10 pairs; 2 048
+# (35 rows) +5.8%, faster in 1 of 10 and outside the parent's quartiles,
+# with peak RSS 55.6 MB against 61.9; 2 560 (43 rows) +3.7%, faster in 5
+# of 10 and inside them, with 58.6 MB.  The floor bounds how often a
+# chunk boundary starts a worker thread
+_DRAW_NORMALS = 2560
 _MIN_HALF = 32
 # narrower streams draw serially: on 2 vCPUs the worker's time over the
 # serial time was about 1.0 at width 12 and 0.87 at width 16
@@ -397,7 +400,7 @@ def run(config: SimConfig) -> LearningCurves:
                         distributed_update(x[:n], combiners, mus, model,
                                            u[s], v[s], out=nxt[:n], work=work)
                         centralized_update(x[n], p, mu_max, model, uc[s],
-                                           vc[s], out=nxt[n], work=work)
+                                           vc[s], out=nxt[n])
                         x = nxt
                     np.einsum("skmt,skmt->skt", slots, slots, out=q)
 

@@ -62,32 +62,32 @@ def distributed_update(w, combiners, mus, model, u, d, out=None, work=None):
 
     ``w`` has shape (N, M, *trials); ``u`` (N, M, *trials) and ``d``
     (N, *trials) are matching fresh samples.  The result goes to ``out``
-    and the scaled gradient to ``work``, buffers shaped like ``w`` that
-    must not overlap it; each is allocated when not given.
+    and the scaled gradient mu_k shat_k(phi_k) to ``work``, buffers shaped
+    like ``w`` that must not overlap it; each is allocated when not given.
+    The step size is folded into the gradient's residual (``scale``), not
+    applied to the gradient in a pass of its own.
     """
     c1, c0, c2 = combiners
     out = np.empty_like(w) if out is None else out
     phi = w if c1 is None else _combine(c1, w, out)
-    step = model.stochastic_gradient_network(phi, u, d, out=work)
-    step *= mus.reshape((-1,) + (1,) * (w.ndim - 1))
+    step = model.stochastic_gradient_network(phi, u, d, out=work, scale=mus)
     psi = phi if c0 is None else _combine(c0, phi, out)
     if c2 is None:
         return np.subtract(psi, step, out=out)
     return _combine(c2, np.subtract(psi, step, out=step), out)
 
 
-def centralized_update(w, p, mu_max, model, u, d, out=None, work=None):
+def centralized_update(w, p, mu_max, model, u, d, out=None):
     """Shared kernel for one centralized step; trial axes trailing.
 
     ``w`` has shape (M, *trials); ``u``/``d`` are the matching network
-    samples (N, M, *trials) and (N, *trials).  ``out`` (shaped like ``w``)
-    and ``work`` (shaped like ``u``) are optional buffers.
+    samples (N, M, *trials) and (N, *trials); ``out`` (shaped like ``w``)
+    is an optional buffer.  The step sum_k mu_max p_k shat_k(w) is one
+    contraction of u with the weighted residual
+    (``stochastic_gradient_sum``): no per-agent gradient is stored.
     """
-    grad = model.stochastic_gradient_network(w[None], u, d, out=work)
-    step = np.matmul(p, grad.reshape(p.shape[0], -1),
-                     out=None if out is None else out.reshape(-1))
-    step *= mu_max
-    return np.subtract(w, step.reshape(w.shape), out=out)
+    step = model.stochastic_gradient_sum(w, u, d, np.multiply(mu_max, p))
+    return np.subtract(w, step, out=out)
 
 
 def step_distributed(w, policy: CombinationPolicy, perron: PerronData,

@@ -164,6 +164,37 @@ _MISTYPED = {
                          "model.w_star.seed must be a JSON integer"),
     "sigma_n2 seed a float": (_with_model(sigma_n2=dict(_NOISE, seed=1.0)),
                               "model.sigma_n2.seed must be a JSON integer"),
+    # floats: JSON numbers only, integers included
+    "mu a string": (dict(TINY_CONFIG, mu="5e-4"),
+                    "mu must be a JSON number, not '5e-4'"),
+    "mu true": (dict(TINY_CONFIG, mu=True), "mu must be a JSON number"),
+    "mu list with a string": (dict(TINY_CONFIG, mu=[1e-3, "1e-3"]),
+                              "each entry of mu must be a JSON number, "
+                              "not '1e-3'"),
+    "steady_window a string": (dict(TINY_CONFIG, steady_window="0.1"),
+                               "steady_window must be a JSON number"),
+    "steady_window a list": (dict(TINY_CONFIG, steady_window=[0.1]),
+                             "steady_window must be a JSON number, "
+                             "not [0.1]"),
+    "radius true": (dict(TINY_CONFIG, topology=dict(_GEOMETRIC, radius=True)),
+                    "topology.radius must be a JSON number, not True"),
+    "w_star list with a string": (_with_model(w_star=[1.0, "0.5"]),
+                                  "each entry of model.w_star must be a "
+                                  "JSON number"),
+    "r_u entry true": (_with_model(r_u=[[1, 0], [0, True]]),
+                       "each entry of model.r_u must be a JSON number, "
+                       "not True"),
+    "sigma_n2 list with a string": (_with_model(sigma_n2=[0.01, "0.02"]),
+                                    "each entry of model.sigma_n2 must be "
+                                    "a JSON number"),
+    "sigma_n2 lo a string": (_with_model(sigma_n2=dict(_NOISE, lo="1e-3")),
+                             "model.sigma_n2.lo must be a JSON number"),
+    "sigma_n2 hi true": (_with_model(sigma_n2=dict(_NOISE, hi=True)),
+                         "model.sigma_n2.hi must be a JSON number"),
+    "hastings target with a string": (
+        dict(TINY_CONFIG, policy={"kind": "atc", "weights": "hastings",
+                                  "target": [0.5, "0.5"]}),
+        "each entry of policy.target must be a JSON number"),
 }
 
 

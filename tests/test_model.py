@@ -74,12 +74,17 @@ class TestValidation:
             make_model(**{field: value})
 
     def test_factors_match_the_per_agent_factor(self):
+        # the definite blocks are factored in one batch, the others one by
+        # one: all definite, every third rank 1, one singular block, and
+        # partial_obs's two singular blocks
         rng = np.random.default_rng(4)
         g = rng.standard_normal((12, 4, 4))
         r_u = g @ g.transpose(0, 2, 1)
+        one = r_u.copy()
+        one[7] = g[7, :, :2] @ g[7, :, :2].T  # rank 2
         r_u[::3] = g[::3, :, :1] @ g[::3, :, :1].transpose(0, 2, 1)  # rank 1
-        for stack in (r_u[1:3], r_u):  # all definite, then mixed
-            model = make_model(m=4, n=len(stack), r_u=stack)
+        for stack in (r_u[1:3], r_u, one, complementary_pair().r_u):
+            model = make_model(m=stack.shape[1], n=len(stack), r_u=stack)
             assert np.array_equal(
                 model._factors, [_covariance_factor(r) for r in stack])
 
@@ -213,6 +218,24 @@ class TestGradients:
         stderr = grads[0].std(axis=-1) / np.sqrt(u.shape[-1])
         truth = model.true_gradient_all(w)[0]
         assert (np.abs(mean - truth) < 3 * stderr + 1e-12).all()
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])
+    def test_scaled_gradients_and_their_weighted_sum(self, batch):
+        # the scale folded into the residual, and the weighted sum at a
+        # shared iterate, against the plain gradients scaled and summed
+        model = make_model(m=3, n=4)
+        rng = np.random.default_rng(7)
+        u, d = model.sample_network(rng, size=batch)
+        x = rng.standard_normal((3,) + batch)
+        weights = rng.uniform(0.1, 1.0, 4)
+        grads = model.stochastic_gradient_network(x[None], u, d)
+        shape = (4,) + (1,) * (grads.ndim - 1)
+        np.testing.assert_allclose(
+            model.stochastic_gradient_network(x[None], u, d, scale=weights),
+            weights.reshape(shape) * grads, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            model.stochastic_gradient_sum(x, u, d, weights),
+            np.tensordot(weights, grads, axes=1), rtol=1e-13, atol=0)
 
     def test_true_gradient_zero_at_solution(self):
         model = make_model()

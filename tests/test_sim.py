@@ -174,10 +174,10 @@ class TestRunBasics:
 
     def test_block_buffers_must_fit_memory(self):
         # the narrow stream keeps 128-row halves, the canonical 60-wide one
-        # takes 52 and the 330-wide one the 32-row floor; the error names
+        # takes 43 and the 330-wide one the 32-row floor; the error names
         # the per-trial block it sized
         trials = 10**8
-        for n, m, paired, block in ((3, 2, True, 256), (10, 5, True, 104),
+        for n, m, paired, block in ((3, 2, True, 256), (10, 5, True, 86),
                                     (30, 10, False, 64)):
             width, streams = n * (m + 1), 1 if paired else 2
             assert 2 * sim._half_block(width) == block
@@ -201,12 +201,12 @@ class TestRunBasics:
 
     def test_canonical_peak_is_the_block_buffer(self):
         # the canonical shape (10 agents, M = 5, 400 trials, one stream):
-        # the 52-row halves hold 3 120 normals per trial, a 20.0 MB block
+        # the 43-row halves hold 2 580 normals per trial, a 16.5 MB block
         # buffer; the rest (the 400 generators, the iterate banks and a
         # step's (u, v)) measured 1.8 MB, and the margin is 4 MB
-        assert sim._half_block(60) == 52
+        assert sim._half_block(60) == 43
         cfg = small_config(n=10, m=5, trials=400, iters=80)
-        buffer = cfg.trials * 2 * 52 * 60 * 8
+        buffer = cfg.trials * 2 * 43 * 60 * 8
         tracemalloc.start()
         try:
             run(cfg)

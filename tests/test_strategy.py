@@ -179,6 +179,43 @@ class TestShiftInvariance:
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
+class TestFusedKernels:
+    """Each kernel against its unfused formula, with the gradients formed
+    agent by agent, scaled after, and summed by a separate contraction.
+    The kernels fold the step sizes into the (N, *trials) residual and
+    the centralized one contracts u with it, so the two round
+    differently."""
+
+    @staticmethod
+    def gradients(x, u, d):
+        """-2 u_k (d_k - u_k^T x_k) for per-agent points x (N, M, ...)."""
+        return -2.0 * u * (d - np.sum(u * x, axis=1))[:, None]
+
+    @pytest.mark.parametrize("trials", [(), (4,)], ids=["no_trials", "trials"])
+    @pytest.mark.parametrize("kind", ["consensus", "atc", "cta", "custom"])
+    def test_kernels_match_their_unfused_formulas(self, kind, trials):
+        topo, _, _, model = lms_setup(n=5, m=3, seed=4)
+        policy = TestShiftInvariance._policy(kind, topo)
+        perron = build_perron(policy, np.linspace(5e-3, 2e-2, 5))
+        rng = np.random.default_rng(9)
+        u, d = model.sample_network(rng, size=trials)
+        w = rng.standard_normal((5, 3) + trials)
+        mus = perron.mus.reshape((5,) + (1,) * (w.ndim - 1))
+
+        phi = np.einsum("lk,l...->k...", policy.a1, w)
+        psi = np.einsum("lk,l...->k...", policy.a0, phi) \
+            - mus * self.gradients(phi, u, d)
+        want = np.einsum("lk,l...->k...", policy.a2, psi)
+        got = distributed_update(w, transposed_combiners(policy), perron.mus,
+                                 model, u, d)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+        grads = self.gradients(np.broadcast_to(w[0], u.shape), u, d)
+        want = w[0] - perron.mu_max * np.tensordot(perron.p, grads, axes=1)
+        got = centralized_update(w[0], perron.p, perron.mu_max, model, u, d)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestCentralized:
     def test_noiseless_stays_at_solution(self):
         _, _, perron, model = lms_setup(sigma=0.0)
