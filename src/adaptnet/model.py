@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import ModelError, ObservabilityError
 
@@ -91,17 +90,6 @@ def _agent_sum(r, *weights) -> np.ndarray:
                      out=np.empty(r.shape[1:]))
 
 
-def _scaled_residual(resid, scale) -> np.ndarray:
-    """``resid`` (N, *batch) times -2 scale_k, in place; times -2 when
-    ``scale`` is None.  Doubling is exact, so -2 scale_k is formed first."""
-    if scale is None:
-        resid *= -2.0
-    else:
-        scale = np.asarray(scale, dtype=float)
-        resid *= (-2.0 * scale).reshape(scale.shape + (1,) * (resid.ndim - 1))
-    return resid
-
-
 def _covariance_factor(r: np.ndarray) -> np.ndarray:
     """Square root F with F F^T = R; tolerates PSD-singular covariances."""
     try:
@@ -113,19 +101,6 @@ def _covariance_factor(r: np.ndarray) -> np.ndarray:
                 f"covariance is indefinite (min eigenvalue {vals.min():.3e})"
             )
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _covariance_factors(r: np.ndarray) -> np.ndarray:
-    """``_covariance_factor`` of every block of an (N, M, M) stack, the
-    definite blocks in one batched Cholesky.  ``np.linalg.cholesky`` raises
-    at any block it cannot factor and keeps none of the others, so its
-    gufunc is called directly: with invalid ignored, it fills such a block
-    with NaN, and only those go through ``_covariance_factor``."""
-    with np.errstate(invalid="ignore"):
-        factors = _umath_linalg.cholesky_lo(r, signature="d->d")
-    for k in np.flatnonzero(np.isnan(factors).any(axis=(1, 2))):
-        factors[k] = _covariance_factor(r[k])
-    return factors
 
 
 @dataclass
@@ -185,7 +160,10 @@ class LinearModel:
         if identity:  # every factor would be I: regressors_from_raw skips it
             self._factors = None
             return
-        self._factors = _covariance_factors(r)
+        try:
+            self._factors = np.linalg.cholesky(r)
+        except np.linalg.LinAlgError:  # a singular or indefinite block
+            self._factors = np.stack([_covariance_factor(b) for b in r])
 
     # --- basic geometry -------------------------------------------------
     @property
@@ -247,9 +225,10 @@ class LinearModel:
 
     # --- gradients -------------------------------------------------------
     def stochastic_gradient_network(self, x, u, d, out=None,
-                                    scale=None) -> np.ndarray:
+                                    scale=1.0) -> np.ndarray:
         """Per-agent instantaneous gradients -2 u_k (d_k - u_k^T x_k),
-        agent axis first, each multiplied by ``scale[k]`` when given.
+        agent axis first, each multiplied by ``scale[k]`` (a scalar scales
+        all).
 
         ``u`` is (N, M, *batch) and ``d`` (N, *batch); ``x`` holds the
         evaluation points, broadcastable to u's shape, so a shared iterate
@@ -260,8 +239,10 @@ class LinearModel:
         """
         if np.ndim(x) < u.ndim:  # einsum only stretches axes of length 1
             x = np.broadcast_to(x, u.shape)
-        resid = _scaled_residual(
-            d - np.einsum("km...,km...->k...", u, x), scale)
+        resid = d - np.einsum("km...,km...->k...", u, x)
+        # doubling is exact, so -2 scale_k is formed first; the transposed
+        # view puts the agent axis last, where an (N,) factor broadcasts
+        np.multiply(resid.T, np.multiply(scale, -2.0), out=resid.T)
         return np.multiply(u, resid[:, None], out=out)
 
     def stochastic_gradient_sum(self, x, u, d, weights) -> np.ndarray:
@@ -270,8 +251,8 @@ class LinearModel:
         -2 weights_k (d_k - u_k^T x), so no per-agent gradient is stored:
         its terms are those of ``stochastic_gradient_network`` with
         ``scale=weights``, added over the agents in einsum's order."""
-        resid = _scaled_residual(
-            d - np.einsum("km...,m...->k...", u, x), weights)
+        resid = d - np.einsum("km...,m...->k...", u, x)
+        np.multiply(resid.T, np.multiply(weights, -2.0), out=resid.T)
         return np.einsum("km...,k...->m...", u, resid)
 
     def true_gradient_all(self, w) -> np.ndarray:
